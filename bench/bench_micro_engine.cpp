@@ -1,4 +1,4 @@
-/// E18 — Engine micro-benchmarks: round-loop and generator throughput, the
+/// Engine micro-benchmarks: round-loop and generator throughput, the
 /// costs a downstream user of the library pays. Self-contained timing
 /// harness (no external benchmark dependency) so it runs everywhere the
 /// library builds; emits BENCH_micro_engine.json so the repo's bench
@@ -12,12 +12,17 @@
 ///    type-erased path, for measuring the devirtualisation gap;
 ///  - four-choice under churn on the dynamic overlay: round hook plus the
 ///    incremental informed-alive bookkeeping;
+///  - whole broadcast_trials sweeps per scheme at batch 0 / 4 / 32: one
+///    row for every rung of the batched engine's kernel ladder (classic,
+///    bitmask, sequential fallback) against the plain sequential driver;
 ///  - configuration-model generation and the sampler primitive.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "rrb/core/broadcast.hpp"
@@ -175,47 +180,58 @@ void run_all() {
     // Trial-batched engine: trials/sec through the broadcast_trials facade,
     // the sequential driver versus B lockstep lanes over the shared
     // topology (outputs are bit-identical — see test_batched_engine.cpp —
-    // so the rows measure pure scheduling). Each rep times one whole
-    // 64-trial sweep; the best rep is reported, which guards the
-    // trajectory against scheduler noise on shared machines.
-    constexpr int kTrials = 64;
-    for (const BroadcastScheme scheme :
-         {BroadcastScheme::kPush, BroadcastScheme::kPushPull}) {
-      for (const int batch : {0, 32, 64}) {
-        BroadcastOptions opt;
-        opt.scheme = scheme;
-        opt.seed = 0xbea7;
-        opt.trials = kTrials;
-        opt.runner.threads = 1;
+    // so the rows measure pure scheduling). push and push-pull land on the
+    // classic kernel, four-choice on the bitmask kernel, median-counter
+    // and sequentialised on the lane-by-lane sequential fallback. Each rep
+    // times one whole sweep; a row reports the median of kReps reps with
+    // min and max, so a reader can tell a gain from scheduler noise.
+    // Trial counts keep every sweep near a second on one core.
+    constexpr int kReps = 5;
+    const std::pair<BroadcastScheme, int> sweeps[] = {
+        {BroadcastScheme::kPush, 64},
+        {BroadcastScheme::kPushPull, 64},
+        {BroadcastScheme::kFourChoice, 32},
+        {BroadcastScheme::kMedianCounter, 16},
+        {BroadcastScheme::kSequentialised, 8},
+    };
+    for (const auto& [scheme, trials] : sweeps) {
+      BroadcastOptions opt;
+      opt.scheme = scheme;
+      opt.seed = 0xbea7;
+      opt.trials = trials;
+      opt.runner.threads = 1;
+      (void)broadcast_trials(g, opt);  // warmup
+      for (const int batch : {0, 4, 32}) {
         opt.runner.batch = batch;
-        (void)broadcast_trials(g, opt);  // warmup
-        int reps = 0;
+        std::vector<double> rates;
         double total_ms = 0.0;
-        double best_trials_per_sec = 0.0;
-        while (reps < 8 && (reps < 3 || total_ms < 900.0)) {
+        for (int rep = 0; rep < kReps; ++rep) {
           const auto start = Clock::now();
           (void)broadcast_trials(g, opt);
           const double ms =
               std::chrono::duration<double, std::milli>(Clock::now() - start)
                   .count();
           total_ms += ms;
-          ++reps;
-          if (ms > 0.0)
-            best_trials_per_sec = std::max(best_trials_per_sec,
-                                           kTrials / (ms / 1000.0));
+          rates.push_back(trials / (ms / 1000.0));
         }
+        std::sort(rates.begin(), rates.end());
+        const double median = rates[rates.size() / 2];
         const std::string name =
             std::string("trials/") + scheme_name(scheme) +
             (batch == 0 ? "/seq" : "/B" + std::to_string(batch));
-        std::printf("%-28s %5d reps   %9.2f ms  %12.1f trials/s\n",
-                    name.c_str(), reps, total_ms, best_trials_per_sec);
+        std::printf("%-28s %5d reps   %9.2f ms  %12.1f trials/s  "
+                    "[%.1f, %.1f]\n",
+                    name.c_str(), kReps, total_ms, median, rates.front(),
+                    rates.back());
         json.row()
             .set("name", name)
             .set("batch", batch)
-            .set("trials", kTrials)
-            .set("reps", reps)
+            .set("trials", trials)
+            .set("reps", kReps)
             .set("wall_ms", total_ms)
-            .set("trials_per_sec", best_trials_per_sec);
+            .set("trials_per_sec", median)
+            .set("trials_per_sec_min", rates.front())
+            .set("trials_per_sec_max", rates.back());
       }
     }
   }
@@ -257,9 +273,10 @@ void run_all() {
 }  // namespace rrb
 
 int main() {
-  rrb::bench::banner("E18 micro-engine",
+  rrb::bench::banner("Micro-engine benchmarks",
                      "Round-loop and generator throughput; the "
-                     "static-vs-virtual dispatch gap.");
+                     "static-vs-virtual dispatch gap; trial sweeps on every "
+                     "batched-engine kernel.");
   rrb::run_all();
   return 0;
 }

@@ -96,8 +96,10 @@ void usage() {
       "  --threads W      worker threads (default 0 = auto: $RRB_THREADS,\n"
       "                   else hardware cores); never changes the results\n"
       "  --chunk C        trials per scheduling task (default 0 = auto)\n"
-      "  --batch B        trials per lockstep engine step on fixed-topology\n"
-      "                   paths (default 0 = sequential); same output\n"
+      "  --batch B        only 0 (the default) is accepted: campaign cells\n"
+      "                   build a fresh graph per trial (static cells) or\n"
+      "                   mutate the topology mid-run (churn cells), and\n"
+      "                   lockstep batching needs one shared fixed graph\n"
       "  --parallel-cells fan cells (not trials) across the pool — faster\n"
       "                   for grids of many small cells, same output\n"
       "  --shard I/K      run only cells with index %% K == I\n"
@@ -314,6 +316,15 @@ bool parse(int argc, char** argv, Options& opt) {
     throw std::runtime_error("--chunk must be >= 0");
   if (opt.config.runner.batch < 0)
     throw std::runtime_error("--batch must be >= 0");
+  // Every campaign cell runs on a topology lockstep lanes cannot share, so
+  // a batch would be silently ignored; refuse it instead.
+  if (opt.config.runner.batch >= 1)
+    throw std::runtime_error(
+        "--batch " + std::to_string(opt.config.runner.batch) +
+        " would change nothing: static cells build a fresh graph per trial "
+        "and churn cells mutate their topology mid-run, while lockstep "
+        "batching needs one fixed graph shared by every trial (pass "
+        "--batch 0 or omit it)");
   if (opt.distribute < 0)
     throw std::runtime_error("--distribute must be >= 1");
   if (opt.distribute > 0 && opt.config.shard_count > 1)

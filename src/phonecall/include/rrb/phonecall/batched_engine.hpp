@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "rrb/common/check.hpp"
@@ -23,23 +24,38 @@
 /// PhoneCallEngine walks the topology's CSR once per trial; a trial sweep
 /// over a fixed graph therefore re-streams the same adjacency arrays from
 /// memory once per trial and is latency-bound. BatchedPhoneCallEngine
-/// restructures the sweep as structure-of-arrays lockstep: per round, one
-/// sequential scan over the nodes serves every lane — the degree and
-/// neighbour lookups for node v are fetched once and stay cache-hot across
-/// all B lanes, and the per-lane round state (informed stamps, actions) is
-/// laid out node-major so the lane loop for a node touches adjacent memory.
-/// The scan prefetches like any linear walk, which is what makes large
-/// trial counts memory-bandwidth-bound instead of latency-bound.
+/// restructures the sweep as lockstep lanes: per round, one sequential scan
+/// over the nodes serves every lane — the degree and neighbour lookups for
+/// node v are fetched once and stay cache-hot across all B lanes, and the
+/// per-lane round state is packed into lane bitmasks so the lane loop for a
+/// node touches one cache line.
 ///
 /// Determinism: batching is scheduling, never semantics. Lane i runs on its
 /// own Rng — the caller derives it as Rng(seed).fork(i) per the seeding
-/// contract — and the lockstep loop makes exactly the draws the sequential
+/// contract — and every kernel makes exactly the draws the sequential
 /// engine makes, in the same per-lane order (rounds ascending, nodes
 /// ascending within a round, channels in choice order within a node).
 /// Because no lane ever observes another lane's stream, interleaving the
 /// lanes is invisible: every RunResult and every observer is bit-identical
 /// to a PhoneCallEngine run of the same trial (ROADMAP.md draw-order
 /// invariant; pinned for all eight schemes by tests/test_batched_engine.cpp).
+///
+/// Kernel ladder, chosen per lane group by batched_kernel_for() below:
+///  1. classic — state-oblivious protocols (kActionIgnoresState: push,
+///     pull, push&pull, fixed-horizon) with one reliable call per round:
+///     per-lane transposed informed bitmaps, no per-node action scan;
+///  2. bitmask — any other hook-free protocol and observer: per-node
+///     push/pull/informed lane masks and the inlined uniform sampler;
+///  3. sequential — everything the lockstep kernels cannot model runs lane
+///     by lane on PhoneCallEngine, each lane on its own Rng, source and
+///     observer, so its draws match by construction. The refusal reason is
+///     one of "protocol hooks" (on_round_start / stamp / on_receive, which
+///     every type-erased BroadcastProtocol exposes), "observer hooks",
+///     "quasirandom", "memory > 0", "lanes > 64" (a lane mask is one
+///     word) or "dead nodes".
+/// A lockstep kernel must be measurably faster than the sequential engine
+/// on the schemes it serves, or it is deleted and its lanes fall back
+/// (ROADMAP.md; bench_micro_engine's trials/* rows measure each rung).
 ///
 /// Scope: the topology must not change during a run — there is no round
 /// hook and no churn path here (lanes advance through different logical
@@ -52,9 +68,7 @@
 /// Protocols are passed as a span of per-lane instances of one static type
 /// (the scheme dispatch hands every lane the same concrete protocol), and
 /// observers as a span of per-lane observers; both hook vocabularies are
-/// `requires`-detected exactly as in PhoneCallEngine::run(), so a bare
-/// batched run compiles to the same inner-loop work as a bare sequential
-/// run, just lane-interleaved.
+/// `requires`-detected exactly as in PhoneCallEngine::run().
 
 namespace rrb {
 
@@ -63,10 +77,10 @@ namespace detail {
 /// True when the protocol type implements none of the optional per-round /
 /// per-delivery hooks (on_round_start, stamp, on_receive). Such protocols
 /// interact with the engine only through action() and finished(), which is
-/// what lets the lockstep kernel below keep per-lane state as bitmasks
-/// instead of firing per-event callbacks. Mirrors the `requires` checks in
+/// what lets the lockstep kernels keep per-lane state as bitmasks instead
+/// of firing per-event callbacks. Mirrors the `requires` checks in
 /// PhoneCallEngine::run — a hook the sequential engine would not call is
-/// also one the kernel may skip.
+/// also one the kernels may skip.
 template <typename P>
 inline constexpr bool kLaneHookFreeProtocol =
     !requires(P& p, Round t) { p.on_round_start(t); } &&
@@ -80,8 +94,8 @@ inline constexpr bool kLaneHookFreeProtocol =
 /// only on the round number — never on the node id or its local state.
 /// All four classical baselines qualify: push/pull/push&pull answer a
 /// constant, fixed-horizon push answers a function of t. For such
-/// protocols the lockstep kernel asks action() once per lane per round and
-/// broadcasts the answer with two AND masks instead of walking every
+/// protocols the lockstep kernels ask action() once per lane per round and
+/// broadcast the answer with AND masks instead of walking every
 /// (node, lane) pair — the declaration is a contract, and a protocol that
 /// declares it untruthfully fails the batched-vs-sequential bit-identity
 /// suite.
@@ -91,9 +105,8 @@ inline constexpr bool kStateObliviousAction = requires {
 };
 
 /// True when the observer type implements none of the observer hooks the
-/// engines fire (the bare NoMetrics observer, notably). With nothing to
-/// notify, the lockstep kernel never needs to materialise a per-lane
-/// node-order view of the informed stamps.
+/// engines fire (the bare NoMetrics observer, notably). The lockstep
+/// kernels keep no per-lane node-order view to hand an observer.
 template <typename O>
 inline constexpr bool kLaneHookFreeObserver =
     !requires(O& o, NodeId n, std::span<const NodeId> s) {
@@ -108,6 +121,55 @@ inline constexpr bool kLaneHookFreeObserver =
     };
 
 }  // namespace detail
+
+/// The rungs of the batched engine's kernel ladder (see the file comment).
+enum class BatchedKernel : std::uint8_t { kClassic, kBitmask, kSequential };
+
+/// "classic", "bitmask" or "sequential" — the suffix of the kernel's
+/// telemetry span name ("batched:<name>").
+[[nodiscard]] constexpr const char* batched_kernel_name(BatchedKernel k) {
+  switch (k) {
+    case BatchedKernel::kClassic:
+      return "classic";
+    case BatchedKernel::kBitmask:
+      return "bitmask";
+    case BatchedKernel::kSequential:
+      break;
+  }
+  return "sequential";
+}
+
+/// A kernel choice and, for the sequential fallback, the first feature the
+/// lockstep kernels do not model ("" when a lockstep kernel was chosen).
+struct BatchedKernelChoice {
+  BatchedKernel kernel = BatchedKernel::kSequential;
+  const char* reason = "";
+};
+
+/// The kernel BatchedPhoneCallEngine::run dispatches a group of `lanes`
+/// lanes to. Pure: depends only on the protocol and observer types, the
+/// channel model, the lane count and whether every topology slot is alive.
+template <ProtocolImpl ProtocolT, typename ObserverT, Topology TopologyT>
+[[nodiscard]] BatchedKernelChoice batched_kernel_for(
+    const ChannelConfig& config, std::size_t lanes, const TopologyT& topo) {
+  constexpr auto sequential = [](const char* reason) {
+    return BatchedKernelChoice{BatchedKernel::kSequential, reason};
+  };
+  if constexpr (!detail::kLaneHookFreeProtocol<ProtocolT>) {
+    return sequential("protocol hooks");
+  } else if constexpr (!detail::kLaneHookFreeObserver<ObserverT>) {
+    return sequential("observer hooks");
+  } else {
+    if (config.quasirandom) return sequential("quasirandom");
+    if (config.memory > 0) return sequential("memory > 0");
+    if (lanes > 64) return sequential("lanes > 64");
+    if (topo.num_alive() != topo.num_slots()) return sequential("dead nodes");
+    if (detail::kStateObliviousAction<ProtocolT> && config.num_choices == 1 &&
+        !(config.failure_prob > 0.0))
+      return {BatchedKernel::kClassic, ""};
+    return {BatchedKernel::kBitmask, ""};
+  }
+}
 
 template <Topology TopologyT>
 class BatchedPhoneCallEngine {
@@ -163,15 +225,15 @@ class BatchedPhoneCallEngine {
   };
   static_assert(sizeof(PullInformed) == 16);
 
-  /// The lockstep fast path: hook-free protocol/observer lanes, uniform
+  /// The bitmask kernel: hook-free protocol/observer lanes, uniform
   /// sampling (no quasirandom cursors, no memory rings), <= 64 lanes, and a
-  /// fully-alive topology. Draw-for-draw identical to the general path —
+  /// fully-alive topology. Draw-for-draw identical to PhoneCallEngine —
   /// the per-node sample loop is ChannelSampler::choose's
   /// sample_distinct_small branch inlined verbatim (any drift breaks the
   /// batched-vs-sequential bit-identity suite) — it only replaces per-lane
   /// control flow with the PullInformed/push-word bit algebra above.
   template <ProtocolImpl ProtocolT>
-  std::vector<RunResult> run_lockstep_uniform(
+  std::vector<RunResult> run_bitmask(
       std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
       std::span<Rng> rngs, const RunLimits& limits);
 
@@ -183,34 +245,65 @@ class BatchedPhoneCallEngine {
   /// array scaled by the batch width, a push-only round walks exactly the
   /// informed nodes by word-skipping, and there is no per-node action scan
   /// at all (one action() call per lane fixes the round). Draw-for-draw
-  /// identical to the sequential engine, like run_lockstep_uniform.
+  /// identical to the sequential engine, like run_bitmask.
   template <ProtocolImpl ProtocolT>
-  std::vector<RunResult> run_lockstep_classic(
+  std::vector<RunResult> run_classic(
       std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
       std::span<Rng> rngs, const RunLimits& limits);
 
-  /// Lane b's informed stamps gathered into node order (the layout the
-  /// observer span contract promises). Only materialised when an observer
-  /// actually implements on_round_end/on_run_end.
-  void gather_lane(std::size_t lanes, std::size_t b, NodeId n) {
-    lane_view_.resize(n);
-    for (NodeId v = 0; v < n; ++v)
-      lane_view_[v] = stamp_[static_cast<std::size_t>(v) * lanes + b];
+  /// Lane bookkeeping shared by the two lockstep kernels, in
+  /// PhoneCallEngine's exact order so the RunResults come out identical.
+  /// start_lanes resets every lane's protocol and counters, validates its
+  /// source (which the kernel then marks informed in its own layout) and
+  /// activates every lane.
+  template <ProtocolImpl ProtocolT>
+  std::vector<RunResult> start_lanes(std::span<ProtocolT* const> protocols,
+                                     std::span<const NodeId> sources);
+
+  /// Fresh RoundStats for every active lane.
+  void start_round(Round t) {
+    for (const std::size_t b : active_) {
+      round_stats_[b] = RoundStats{};
+      round_stats_[b].t = t;
+      newly_count_[b] = 0;
+    }
+  }
+
+  /// Fold each active lane's round into its result, test termination, and
+  /// drop (and finalize) the lanes that stopped. Returns their lane bits.
+  template <ProtocolImpl ProtocolT>
+  std::uint64_t end_round(std::span<ProtocolT* const> protocols, Round t,
+                          Count channels_per_round, const RunLimits& limits,
+                          std::span<RunResult> results);
+
+  /// Lane b stopped after `rounds`. informed_alive_[b] is maintained on
+  /// exactly the increments PhoneCallEngine makes, and with every node
+  /// alive it equals the informed scan that engine ends a run with.
+  void finalize_lane(RunResult& result, std::size_t b, Round rounds) const {
+    const Count alive = topo_->num_alive();
+    result.rounds = rounds;
+    result.alive_at_end = alive;
+    result.final_informed = informed_alive_[b];
+    result.all_informed = alive > 0 && result.final_informed >= alive;
+  }
+
+  /// Lanes still running when max_rounds elapsed stop exactly like the
+  /// sequential engine: rounds = max_rounds, completion wherever it got.
+  void finish_lanes(std::span<RunResult> results, Round t) {
+    for (const std::size_t b : active_) finalize_lane(results[b], b, t);
+    active_.clear();
   }
 
   const TopologyT* topo_;
   ChannelConfig config_;
 
-  // SoA round state, node-major: stamp_[v * B + b] is lane b's informed
-  // round for node v (kNever = uninformed), likewise action_. Node-major
-  // keeps the lane loop for one node on adjacent memory and lets the random
-  // partner access (index w) land every lane's entry on the same cache
-  // line(s).
+  // Bitmask kernel only: stamp_[v * B + b] is lane b's informed round for
+  // node v (kNever = uninformed), kept only for state-dependent protocols;
+  // node-major so the random partner access lands every lane's entry on
+  // the same cache line(s).
   std::vector<Round> stamp_;
-  std::vector<Action> action_;
-
-  std::vector<std::uint64_t> push_words_;  // lockstep kernel only
-  std::vector<PullInformed> pi_;           // lockstep kernel only
+  std::vector<std::uint64_t> push_words_;
+  std::vector<PullInformed> pi_;
 
   // Classic kernel only: concatenated per-lane informed bitmaps
   // (live_bits_[b * W + v/64] bit v%64) and the round-start snapshot of the
@@ -218,17 +311,12 @@ class BatchedPhoneCallEngine {
   std::vector<std::uint64_t> live_bits_;
   std::vector<std::uint64_t> start_bits_;
 
-  std::vector<ChannelSampler> samplers_;  // per lane (cursors, memory rings)
-  std::vector<Count> informed_alive_;     // per lane, incremental
-  std::vector<Count> informed_;           // per lane, total ever informed
-  std::vector<Count> newly_count_;        // per lane, reset each round
-  std::vector<std::size_t> active_;       // lanes still running, ascending
+  std::vector<Count> informed_alive_;    // per lane, incremental
+  std::vector<Count> newly_count_;       // per lane, reset each round
+  std::vector<RoundStats> round_stats_;  // per lane, the current round
+  std::vector<std::size_t> active_;      // lanes still running, ascending
 
-  // Scratch reused across rounds/lanes (same shape as the sequential
-  // engine's flat buffers).
-  std::vector<NodeId> choice_buf_;
-  std::vector<NodeId> partner_buf_;
-  std::vector<Round> lane_view_;
+  std::vector<NodeId> choice_buf_;  // classic kernel: per-node callee draws
 };
 
 template <Topology TopologyT>
@@ -237,272 +325,123 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run(
     std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
     std::span<Rng> rngs, const RunLimits& limits,
     std::span<ObserverT> observers) {
-  const NodeId n = topo_->num_slots();
   const std::size_t lanes = protocols.size();
-  RRB_REQUIRE(n >= 1, "empty topology");
+  RRB_REQUIRE(topo_->num_slots() >= 1, "empty topology");
   RRB_REQUIRE(lanes >= 1, "need at least one lane");
   RRB_REQUIRE(sources.size() == lanes && rngs.size() == lanes &&
                   observers.size() == lanes,
               "per-lane spans must all have one entry per lane");
 
-  // Hook-free lanes over a fully-alive topology with the plain uniform
-  // sampler run on the lockstep kernel (same draws, bitmask state). The
-  // conditions are exactly the features the kernel does not model: hooks,
-  // quasirandom cursors, memory rings, dead nodes, and more lanes than a
-  // mask word holds.
+  const BatchedKernelChoice choice =
+      batched_kernel_for<ProtocolT, ObserverT>(config_, lanes, *topo_);
+
+  // Kernel-ladder telemetry: one span per lane group, named after the rung
+  // that ran, with the lockstep kernels' refusal reason when it is the
+  // fallback. Wall-clock only — never affects draws or outputs.
+  telemetry::Span kernel_span(
+      "batched", std::string("batched:") + batched_kernel_name(choice.kernel));
+  if (kernel_span.active()) {
+    std::string args = "{\"lanes\":" + std::to_string(lanes) +
+                       ",\"n\":" + std::to_string(topo_->num_slots());
+    if (choice.kernel == BatchedKernel::kSequential)
+      args += std::string(",\"reason\":\"") + choice.reason + "\"";
+    kernel_span.set_args(args + "}");
+  }
+
   if constexpr (detail::kLaneHookFreeProtocol<ProtocolT> &&
                 detail::kLaneHookFreeObserver<ObserverT>) {
-    if (!config_.quasirandom && config_.memory == 0 && lanes <= 64 &&
-        topo_->num_alive() == n)
-      return run_lockstep_uniform(protocols, sources, rngs, limits);
+    if constexpr (detail::kStateObliviousAction<ProtocolT>) {
+      if (choice.kernel == BatchedKernel::kClassic)
+        return run_classic(protocols, sources, rngs, limits);
+    }
+    if (choice.kernel == BatchedKernel::kBitmask)
+      return run_bitmask(protocols, sources, rngs, limits);
   }
 
-  // Kernel-ladder telemetry: one span per kernel body (general / bitmask /
-  // classic), so a trace shows which rung actually ran and how many lanes
-  // were active. Wall-clock only — never affects draws or outputs.
-  telemetry::Span kernel_span("batched", "batched:general");
-  if (kernel_span.active())
-    kernel_span.set_args("{\"lanes\":" + std::to_string(lanes) +
-                         ",\"n\":" + std::to_string(n) + "}");
-
-  stamp_.assign(static_cast<std::size_t>(n) * lanes, kNever);
-  action_.assign(static_cast<std::size_t>(n) * lanes, Action::kNone);
-  samplers_.assign(lanes, ChannelSampler{});
-  informed_.assign(lanes, 0);
-  informed_alive_.assign(lanes, 0);
-  newly_count_.assign(lanes, 0);
-  active_.resize(lanes);
-
-  std::vector<RunResult> results(lanes);
-  std::vector<RoundStats> round_stats(lanes);
-
+  // The fallback: lane by lane on PhoneCallEngine over the shared,
+  // read-only topology, each lane on its own Rng, source and observer.
+  telemetry::count("batched.sequential_lanes",
+                   static_cast<std::int64_t>(lanes));
+  std::vector<RunResult> results;
+  results.reserve(lanes);
   for (std::size_t b = 0; b < lanes; ++b) {
-    active_[b] = b;
-    samplers_[b].prepare(config_, n);
     RRB_REQUIRE(protocols[b] != nullptr, "null protocol lane");
-    ProtocolT& proto = *protocols[b];
-    if constexpr (requires { proto.reset(n); }) proto.reset(n);
-    const NodeId s = sources[b];
-    RRB_REQUIRE(s < n, "source out of range");
-    RRB_REQUIRE(topo_->is_alive(s), "source must be alive");
-    stamp_[static_cast<std::size_t>(s) * lanes + b] = 0;
-    informed_[b] = 1;
-    informed_alive_[b] = 1;
-    results[b].n = n;
-    if constexpr (requires { observers[b].on_run_begin(n, sources); })
-      observers[b].on_run_begin(n, sources.subspan(b, 1));
+    PhoneCallEngine<const TopologyT> engine(*topo_, config_, rngs[b]);
+    results.push_back(
+        engine.run(*protocols[b], sources[b], limits, observers[b]));
   }
-
-  choice_buf_.assign(static_cast<std::size_t>(config_.num_choices), 0);
-  partner_buf_.assign(static_cast<std::size_t>(config_.num_choices), 0);
-  const std::span<NodeId> edge_choice(choice_buf_);
-  const std::span<NodeId> partners(partner_buf_);
-
-  const bool has_failure_prob = config_.failure_prob > 0.0;
-  const bool has_memory = config_.memory > 0;
-
-  // Populated on deactivation; alive_at_end etc. are loop-invariant on an
-  // immutable topology, so "when the lane stopped" and "when run() returns"
-  // see the same values the sequential engine records.
-  const auto finalize = [&](std::size_t b, Round rounds) {
-    RunResult& result = results[b];
-    result.rounds = rounds;
-    result.alive_at_end = topo_->num_alive();
-    Count final_informed = 0;
-    for (NodeId v = 0; v < n; ++v)
-      if (topo_->is_alive(v) &&
-          stamp_[static_cast<std::size_t>(v) * lanes + b] != kNever)
-        ++final_informed;
-    result.final_informed = final_informed;
-    result.all_informed =
-        result.alive_at_end > 0 && final_informed >= result.alive_at_end;
-    if constexpr (requires(std::span<const Round> ia) {
-                    observers[b].on_run_end(results[b], ia);
-                  }) {
-      gather_lane(lanes, b, n);
-      observers[b].on_run_end(
-          result, std::span<const Round>(lane_view_.data(), n));
-    }
-  };
-
-  Round t = 0;
-  while (!active_.empty() && t < limits.max_rounds) {
-    ++t;
-    for (const std::size_t b : active_) {
-      ProtocolT& proto = *protocols[b];
-      if constexpr (requires { proto.on_round_start(t); })
-        proto.on_round_start(t);
-      if constexpr (requires { observers[b].on_round_begin(t); })
-        observers[b].on_round_begin(t);
-      round_stats[b] = RoundStats{};
-      round_stats[b].t = t;
-      newly_count_[b] = 0;
-    }
-
-    // Phase A: per-lane actions for nodes informed before this round. One
-    // node scan serves every lane; the stamp/action entries for node v sit
-    // on the same cache line(s) across lanes.
-    for (NodeId v = 0; v < n; ++v) {
-      const bool alive = topo_->is_alive(v);
-      const std::size_t base = static_cast<std::size_t>(v) * lanes;
-      for (const std::size_t b : active_) {
-        const Round at = stamp_[base + b];
-        if (!alive || at == kNever) {
-          action_[base + b] = Action::kNone;
-          continue;
-        }
-        NodeLocalState state;
-        state.informed_at = at;
-        state.is_source = at == 0;
-        action_[base + b] = protocols[b]->action(v, state, t);
-        if (action_[base + b] != Action::kNone)
-          ++round_stats[b].transmitting_nodes;
-      }
-    }
-
-    // Phase B: every alive node opens channels, once per lane, drawing from
-    // that lane's Rng only — per lane this is exactly the sequential
-    // engine's draw sequence for the node.
-    for (NodeId v = 0; v < n; ++v) {
-      if (!topo_->is_alive(v)) continue;
-      const std::size_t vbase = static_cast<std::size_t>(v) * lanes;
-      for (const std::size_t b : active_) {
-        Rng& rng = rngs[b];
-        RoundStats& round = round_stats[b];
-        const std::size_t k =
-            samplers_[b].choose(*topo_, rng, v, edge_choice);
-        for (std::size_t i = 0; i < k; ++i) {
-          const NodeId edge_idx = edge_choice[i];
-          const NodeId w = detail::topo_neighbor(*topo_, v, edge_idx);
-          // Recorded before the failure check — failed channels enter the
-          // memory ring, matching PhoneCallEngine (see the note there).
-          partners[i] = w;
-          ++round.channels_opened;
-          if (has_failure_prob && rng.bernoulli(config_.failure_prob)) {
-            ++round.channels_failed;
-            continue;
-          }
-          if (!topo_->is_alive(w)) {
-            ++round.channels_failed;  // stale link
-            continue;
-          }
-          const bool push_here = does_push(action_[vbase + b]);
-          const bool pull_here =
-              does_pull(action_[static_cast<std::size_t>(w) * lanes + b]);
-          if (!push_here && !pull_here) continue;
-
-          auto deliver = [&](NodeId to, NodeId from, bool is_push) {
-            ProtocolT& proto = *protocols[b];
-            MessageMeta meta;
-            if constexpr (requires { proto.stamp(from, t); })
-              meta = proto.stamp(from, t);
-            if (is_push)
-              ++round.push_tx;
-            else
-              ++round.pull_tx;
-            const std::size_t slot =
-                static_cast<std::size_t>(to) * lanes + b;
-            const bool first = stamp_[slot] == kNever;
-            if constexpr (requires { proto.on_receive(to, meta, t, first); })
-              proto.on_receive(to, meta, t, first);
-            if (first) {
-              stamp_[slot] = t;
-              ++informed_alive_[b];
-              ++newly_count_[b];
-            }
-            if constexpr (requires(const TransmissionEvent& event) {
-                            observers[b].on_transmission(event);
-                          })
-              observers[b].on_transmission(TransmissionEvent{
-                  .t = t,
-                  .caller = v,
-                  .edge_index = edge_idx,
-                  .from = from,
-                  .to = to,
-                  .is_push = is_push,
-                  .first_time = first,
-              });
-            if (first)
-              if constexpr (requires {
-                              observers[b].on_node_informed(to, t);
-                            })
-                observers[b].on_node_informed(to, t);
-          };
-          if (push_here) deliver(w, v, /*is_push=*/true);
-          if (pull_here) deliver(v, w, /*is_push=*/false);
-        }
-        if (has_memory)
-          samplers_[b].remember_partners(
-              v, std::span<const NodeId>(partners.data(), k));
-      }
-    }
-
-    // Round end: per-lane bookkeeping and termination, compacting the
-    // active list in place (ascending lane order is preserved).
-    std::size_t keep = 0;
-    for (std::size_t bi = 0; bi < active_.size(); ++bi) {
-      const std::size_t b = active_[bi];
-      RoundStats& round = round_stats[b];
-      RunResult& result = results[b];
-      informed_[b] += newly_count_[b];
-      round.newly_informed = newly_count_[b];
-      round.informed = informed_[b];
-      result.push_tx += round.push_tx;
-      result.pull_tx += round.pull_tx;
-      result.channels_opened += round.channels_opened;
-      result.channels_failed += round.channels_failed;
-      if (limits.record_rounds) result.per_round.push_back(round);
-
-      if constexpr (requires(std::span<const Round> ia) {
-                      observers[b].on_round_end(round, ia);
-                    }) {
-        gather_lane(lanes, b, n);
-        observers[b].on_round_end(
-            round, std::span<const Round>(lane_view_.data(), n));
-      }
-
-      const Count alive = topo_->num_alive();
-      const Count informed_alive = informed_alive_[b];
-      if (result.completion_round == kNever && alive > 0 &&
-          informed_alive >= alive)
-        result.completion_round = t;
-
-      const bool proto_done = protocols[b]->finished(t, informed_alive, alive);
-      const bool oracle_done =
-          limits.stop_when_all_informed && informed_alive >= alive;
-      if (proto_done || oracle_done)
-        finalize(b, t);
-      else
-        active_[keep++] = b;
-    }
-    active_.resize(keep);
-  }
-
-  // Lanes still running when max_rounds elapsed stop exactly like the
-  // sequential engine: rounds = max_rounds, completion wherever it got.
-  for (const std::size_t b : active_) finalize(b, t);
-  active_.clear();
-
   return results;
 }
 
 template <Topology TopologyT>
 template <ProtocolImpl ProtocolT>
-std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
-    std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
-    std::span<Rng> rngs, const RunLimits& limits) {
-  if constexpr (detail::kStateObliviousAction<ProtocolT>) {
-    if (config_.num_choices == 1 && !(config_.failure_prob > 0.0))
-      return run_lockstep_classic(protocols, sources, rngs, limits);
-  }
-
+std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::start_lanes(
+    std::span<ProtocolT* const> protocols, std::span<const NodeId> sources) {
   const NodeId n = topo_->num_slots();
   const std::size_t lanes = protocols.size();
+  informed_alive_.assign(lanes, 1);
+  newly_count_.assign(lanes, 0);
+  round_stats_.resize(lanes);
+  active_.resize(lanes);
+  std::vector<RunResult> results(lanes);
+  for (std::size_t b = 0; b < lanes; ++b) {
+    RRB_REQUIRE(protocols[b] != nullptr, "null protocol lane");
+    ProtocolT& proto = *protocols[b];
+    if constexpr (requires { proto.reset(n); }) proto.reset(n);
+    RRB_REQUIRE(sources[b] < n, "source out of range");
+    RRB_REQUIRE(topo_->is_alive(sources[b]), "source must be alive");
+    active_[b] = b;
+    results[b].n = n;
+  }
+  return results;
+}
 
-  telemetry::Span kernel_span("batched", "batched:bitmask");
-  if (kernel_span.active())
-    kernel_span.set_args("{\"lanes\":" + std::to_string(lanes) +
-                         ",\"n\":" + std::to_string(n) + "}");
+template <Topology TopologyT>
+template <ProtocolImpl ProtocolT>
+std::uint64_t BatchedPhoneCallEngine<TopologyT>::end_round(
+    std::span<ProtocolT* const> protocols, Round t, Count channels_per_round,
+    const RunLimits& limits, std::span<RunResult> results) {
+  const Count alive = topo_->num_alive();  // == n; immutable during the run
+  std::uint64_t stopped = 0;
+  std::size_t keep = 0;
+  for (const std::size_t b : active_) {
+    RoundStats& round = round_stats_[b];
+    RunResult& result = results[b];
+    round.channels_opened = channels_per_round;
+    round.newly_informed = newly_count_[b];
+    round.informed = informed_alive_[b];  // every node is alive
+    result.push_tx += round.push_tx;
+    result.pull_tx += round.pull_tx;
+    result.channels_opened += round.channels_opened;
+    result.channels_failed += round.channels_failed;
+    if (limits.record_rounds) result.per_round.push_back(round);
+
+    const Count informed_alive = informed_alive_[b];
+    if (result.completion_round == kNever && alive > 0 &&
+        informed_alive >= alive)
+      result.completion_round = t;
+
+    const bool proto_done = protocols[b]->finished(t, informed_alive, alive);
+    const bool oracle_done =
+        limits.stop_when_all_informed && informed_alive >= alive;
+    if (proto_done || oracle_done) {
+      finalize_lane(result, b, t);
+      stopped |= std::uint64_t{1} << b;
+    } else {
+      active_[keep++] = b;
+    }
+  }
+  active_.resize(keep);
+  return stopped;
+}
+
+template <Topology TopologyT>
+template <ProtocolImpl ProtocolT>
+std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_bitmask(
+    std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
+    std::span<Rng> rngs, const RunLimits& limits) {
+  const NodeId n = topo_->num_slots();
+  const std::size_t lanes = protocols.size();
 
   // With a state-oblivious protocol (and the kernel's hook-free observers)
   // nothing ever reads a per-(node, lane) informed stamp: Phase A never
@@ -515,37 +454,20 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
     stamp_.assign(static_cast<std::size_t>(n) * lanes, kNever);
   push_words_.assign(n, 0);
   pi_.assign(n, PullInformed{});
-  informed_.assign(lanes, 0);
-  informed_alive_.assign(lanes, 0);
-  newly_count_.assign(lanes, 0);
-
-  std::vector<RunResult> results(lanes);
-  std::vector<RoundStats> round_stats(lanes);
+  std::vector<RunResult> results = start_lanes(protocols, sources);
+  for (std::size_t b = 0; b < lanes; ++b) {
+    if constexpr (kKeepStamps)
+      stamp_[static_cast<std::size_t>(sources[b]) * lanes + b] = 0;
+    pi_[sources[b]].informed |= std::uint64_t{1} << b;
+  }
 
   // Lanes still running, as a bitmask (eligibility capped lanes at 64).
   std::uint64_t live =
       lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
 
-  for (std::size_t b = 0; b < lanes; ++b) {
-    RRB_REQUIRE(protocols[b] != nullptr, "null protocol lane");
-    ProtocolT& proto = *protocols[b];
-    if constexpr (requires { proto.reset(n); }) proto.reset(n);
-    const NodeId s = sources[b];
-    RRB_REQUIRE(s < n, "source out of range");
-    RRB_REQUIRE(topo_->is_alive(s), "source must be alive");
-    if constexpr (kKeepStamps)
-      stamp_[static_cast<std::size_t>(s) * lanes + b] = 0;
-    pi_[s].informed |= std::uint64_t{1} << b;
-    informed_[b] = 1;
-    informed_alive_[b] = 1;
-    results[b].n = n;
-  }
-
   const auto k = static_cast<std::size_t>(config_.num_choices);
   const bool has_failure = config_.failure_prob > 0.0;
   const double fp = config_.failure_prob;
-  const Count alive = topo_->num_alive();  // == n; immutable during the run
-
   // Every alive node opens min(k, degree) channels every round, so the
   // per-round channels_opened count is a run constant on an immutable
   // topology — computing it once removes a counter update from the hot
@@ -554,23 +476,6 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
   for (NodeId v = 0; v < n; ++v)
     channels_per_round += static_cast<Count>(
         std::min<std::size_t>(k, detail::topo_degree(*topo_, v)));
-
-  // The live lanes as a compact ascending index list (mirrors the general
-  // path's active_): the draw loop walks it without the serial ctz chain a
-  // bitmask iteration would cost per lane.
-  active_.resize(lanes);
-  for (std::size_t b = 0; b < lanes; ++b) active_[b] = b;
-
-  // informed_alive_[b] is maintained on exactly the increments the general
-  // path makes, and with every node alive it equals the stamp scan the
-  // general finalize performs — so the result fields come out identical.
-  const auto finalize = [&](std::size_t b, Round rounds) {
-    RunResult& result = results[b];
-    result.rounds = rounds;
-    result.alive_at_end = alive;
-    result.final_informed = informed_alive_[b];
-    result.all_informed = alive > 0 && result.final_informed >= alive;
-  };
 
   NodeId choices[64];  // num_choices is capped at 64 by the constructor
 
@@ -581,12 +486,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
   Round t = 0;
   while (live != 0 && t < limits.max_rounds) {
     ++t;
-    for (std::uint64_t rem = live; rem != 0; rem &= rem - 1) {
-      const auto b = static_cast<std::size_t>(std::countr_zero(rem));
-      round_stats[b] = RoundStats{};
-      round_stats[b].t = t;
-      newly_count_[b] = 0;
-    }
+    start_round(t);
 
     // Phase A: per-lane actions, folded into per-node push/pull masks. Only
     // lanes in which v is informed can act, so a single word test skips the
@@ -606,7 +506,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
         state.is_source = true;
         const Action a = protocols[b]->action(NodeId{0}, state, t);
         if (a != Action::kNone)
-          round_stats[b].transmitting_nodes = informed_alive_[b];
+          round_stats_[b].transmitting_nodes = informed_alive_[b];
         const std::uint64_t bit = std::uint64_t{1} << b;
         if (does_push(a)) push_mask |= bit;
         if (does_pull(a)) pull_mask |= bit;
@@ -638,7 +538,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
             state.informed_at = stamp_[base + b];
             state.is_source = state.informed_at == 0;
             const Action a = protocols[b]->action(v, state, t);
-            if (a != Action::kNone) ++round_stats[b].transmitting_nodes;
+            if (a != Action::kNone) ++round_stats_[b].transmitting_nodes;
             if (does_push(a)) push_bits |= std::uint64_t{1} << b;
             if (does_pull(a)) pull_bits |= std::uint64_t{1} << b;
           }
@@ -684,124 +584,57 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_uniform(
       }
     };
 
-    if (k == 1 && !has_failure) {
-      // The classical single-call round with reliable channels (push, pull,
-      // push&pull, fixed-horizon). Phase B draws depend only on the lane's
-      // Rng stream and the (immutable) degrees — never on who is informed —
-      // so each lane's round splits into a draw sweep with the generator
-      // state entirely in registers, then a delivery sweep over the same
-      // nodes in the same ascending order. Within the lane that is exactly
-      // the sequential interleaving; across lanes nothing is shared.
-      choice_buf_.resize(n);
+    for (NodeId v = 0; v < n; ++v) {
+      const NodeId d = detail::topo_degree(*topo_, v);
+      if (d == 0) continue;  // choose() draws nothing for isolated nodes
+      const std::size_t take = std::min<std::size_t>(k, d);
+      const std::uint64_t push_v = push_words_[v];
       for (const std::size_t b : active_) {
-        Rng& rng = rngs[b];
-        for (NodeId v = 0; v < n; ++v) {
-          const NodeId d = detail::topo_degree(*topo_, v);
-          if (d == 0) continue;  // choose() draws nothing for isolated nodes
-          choice_buf_[v] = static_cast<NodeId>(rng.uniform_u64(d));
-        }
         const std::uint64_t bit = std::uint64_t{1} << b;
+        Rng& rng = rngs[b];
+        // Inlined Rng::sample_distinct_small(d, take): rejection against
+        // the already-chosen prefix, in draw order.
+        for (std::size_t i = 0; i < take; ++i) {
+          NodeId candidate;
+          bool fresh;
+          do {
+            candidate = static_cast<NodeId>(rng.uniform_u64(d));
+            fresh = true;
+            for (std::size_t j = 0; j < i; ++j) {
+              if (choices[j] == candidate) {
+                fresh = false;
+                break;
+              }
+            }
+          } while (!fresh);
+          choices[i] = candidate;
+        }
+        RoundStats& round = round_stats_[b];
+        const bool push_here = (push_v & bit) != 0;
         const bool lane_pulls = (any_pull & bit) != 0;
-        RoundStats& round = round_stats[b];
-        for (NodeId v = 0; v < n; ++v) {
-          const bool push_here = (push_words_[v] & bit) != 0;
+        if (!has_failure && !push_here && !lane_pulls)
+          continue;  // no failure draws to make, nothing to deliver
+        for (std::size_t i = 0; i < take; ++i) {
+          if (has_failure && rng.bernoulli(fp)) {
+            ++round.channels_failed;
+            continue;
+          }
           if (!push_here && !lane_pulls) continue;
-          const NodeId d = detail::topo_degree(*topo_, v);
-          if (d == 0) continue;  // opened no channel
-          const NodeId w = detail::topo_neighbor(*topo_, v, choice_buf_[v]);
+          const NodeId w = detail::topo_neighbor(*topo_, v, choices[i]);
           deliver(v, w, b, bit, push_here, round);
         }
       }
-    } else {
-      for (NodeId v = 0; v < n; ++v) {
-        const NodeId d = detail::topo_degree(*topo_, v);
-        if (d == 0) continue;  // choose() draws nothing for isolated nodes
-        const std::size_t take = std::min<std::size_t>(k, d);
-        const std::uint64_t push_v = push_words_[v];
-        for (const std::size_t b : active_) {
-          const std::uint64_t bit = std::uint64_t{1} << b;
-          Rng& rng = rngs[b];
-          // Inlined Rng::sample_distinct_small(d, take): rejection against
-          // the already-chosen prefix, in draw order.
-          for (std::size_t i = 0; i < take; ++i) {
-            NodeId candidate;
-            bool fresh;
-            do {
-              candidate = static_cast<NodeId>(rng.uniform_u64(d));
-              fresh = true;
-              for (std::size_t j = 0; j < i; ++j) {
-                if (choices[j] == candidate) {
-                  fresh = false;
-                  break;
-                }
-              }
-            } while (!fresh);
-            choices[i] = candidate;
-          }
-          RoundStats& round = round_stats[b];
-          const bool push_here = (push_v & bit) != 0;
-          const bool lane_pulls = (any_pull & bit) != 0;
-          if (!has_failure && !push_here && !lane_pulls)
-            continue;  // no failure draws to make, nothing to deliver
-          for (std::size_t i = 0; i < take; ++i) {
-            if (has_failure && rng.bernoulli(fp)) {
-              ++round.channels_failed;
-              continue;
-            }
-            if (!push_here && !lane_pulls) continue;
-            const NodeId w = detail::topo_neighbor(*topo_, v, choices[i]);
-            deliver(v, w, b, bit, push_here, round);
-          }
-        }
-      }
     }
 
-    // Round end: identical bookkeeping and termination to the general path,
-    // with the active list kept as mask + index list in tandem.
-    std::uint64_t next_live = live;
-    std::size_t keep = 0;
-    for (std::size_t bi = 0; bi < active_.size(); ++bi) {
-      const std::size_t b = active_[bi];
-      RoundStats& round = round_stats[b];
-      RunResult& result = results[b];
-      round.channels_opened = channels_per_round;
-      informed_[b] += newly_count_[b];
-      round.newly_informed = newly_count_[b];
-      round.informed = informed_[b];
-      result.push_tx += round.push_tx;
-      result.pull_tx += round.pull_tx;
-      result.channels_opened += round.channels_opened;
-      result.channels_failed += round.channels_failed;
-      if (limits.record_rounds) result.per_round.push_back(round);
-
-      const Count informed_alive = informed_alive_[b];
-      if (result.completion_round == kNever && alive > 0 &&
-          informed_alive >= alive)
-        result.completion_round = t;
-
-      const bool proto_done = protocols[b]->finished(t, informed_alive, alive);
-      const bool oracle_done =
-          limits.stop_when_all_informed && informed_alive >= alive;
-      if (proto_done || oracle_done) {
-        finalize(b, t);
-        next_live &= ~(std::uint64_t{1} << b);
-      } else {
-        active_[keep++] = b;
-      }
-    }
-    active_.resize(keep);
-    live = next_live;
+    live &= ~end_round(protocols, t, channels_per_round, limits, results);
   }
-
-  for (const std::size_t b : active_) finalize(b, t);
-  active_.clear();
-
+  finish_lanes(results, t);
   return results;
 }
 
 template <Topology TopologyT>
 template <ProtocolImpl ProtocolT>
-std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_classic(
+std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_classic(
     std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
     std::span<Rng> rngs, const RunLimits& limits) {
   static_assert(detail::kStateObliviousAction<ProtocolT>);
@@ -810,37 +643,12 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_classic(
   const std::size_t lanes = protocols.size();
   const std::size_t W = (static_cast<std::size_t>(n) + 63) / 64;
 
-  telemetry::Span kernel_span("batched", "batched:classic");
-  if (kernel_span.active())
-    kernel_span.set_args("{\"lanes\":" + std::to_string(lanes) +
-                         ",\"n\":" + std::to_string(n) + "}");
-
   live_bits_.assign(lanes * W, 0);
   start_bits_.assign(W, 0);
-  informed_.assign(lanes, 0);
-  informed_alive_.assign(lanes, 0);
-  newly_count_.assign(lanes, 0);
-
-  std::vector<RunResult> results(lanes);
-  std::vector<RoundStats> round_stats(lanes);
-
-  std::uint64_t live =
-      lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
-
-  for (std::size_t b = 0; b < lanes; ++b) {
-    RRB_REQUIRE(protocols[b] != nullptr, "null protocol lane");
-    ProtocolT& proto = *protocols[b];
-    if constexpr (requires { proto.reset(n); }) proto.reset(n);
-    const NodeId s = sources[b];
-    RRB_REQUIRE(s < n, "source out of range");
-    RRB_REQUIRE(topo_->is_alive(s), "source must be alive");
-    live_bits_[b * W + (s >> 6)] |= std::uint64_t{1} << (s & 63);
-    informed_[b] = 1;
-    informed_alive_[b] = 1;
-    results[b].n = n;
-  }
-
-  const Count alive = topo_->num_alive();  // == n; immutable during the run
+  std::vector<RunResult> results = start_lanes(protocols, sources);
+  for (std::size_t b = 0; b < lanes; ++b)
+    live_bits_[b * W + (sources[b] >> 6)] |= std::uint64_t{1}
+                                             << (sources[b] & 63);
 
   // One reliable call per alive node per round (k == 1 here), so the
   // channels_opened count is the number of non-isolated nodes — a run
@@ -849,27 +657,12 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_classic(
   for (NodeId v = 0; v < n; ++v)
     if (detail::topo_degree(*topo_, v) != 0) ++channels_per_round;
 
-  active_.resize(lanes);
-  for (std::size_t b = 0; b < lanes; ++b) active_[b] = b;
-
-  const auto finalize = [&](std::size_t b, Round rounds) {
-    RunResult& result = results[b];
-    result.rounds = rounds;
-    result.alive_at_end = alive;
-    result.final_informed = informed_alive_[b];
-    result.all_informed = alive > 0 && result.final_informed >= alive;
-  };
-
   choice_buf_.resize(n);
 
   Round t = 0;
-  while (live != 0 && t < limits.max_rounds) {
+  while (!active_.empty() && t < limits.max_rounds) {
     ++t;
-    for (const std::size_t b : active_) {
-      round_stats[b] = RoundStats{};
-      round_stats[b].t = t;
-      newly_count_[b] = 0;
-    }
+    start_round(t);
 
     for (const std::size_t b : active_) {
       // One action() call fixes the whole round (declared contract); every
@@ -879,7 +672,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_classic(
       state.is_source = true;
       const Action a = protocols[b]->action(NodeId{0}, state, t);
       if (a != Action::kNone)
-        round_stats[b].transmitting_nodes = informed_alive_[b];
+        round_stats_[b].transmitting_nodes = informed_alive_[b];
       const bool pushes = does_push(a);
       const bool pulls = does_pull(a);
 
@@ -898,7 +691,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_classic(
       // Transmissions read the round-start informed set: a node informed
       // mid-round neither pushes nor answers pulls until the next round.
       std::copy(lane_bits, lane_bits + W, start_bits_.begin());
-      RoundStats& round = round_stats[b];
+      RoundStats& round = round_stats_[b];
 
       const auto inform = [&](NodeId u) {
         std::uint64_t& word = lane_bits[u >> 6];
@@ -946,45 +739,9 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_lockstep_classic(
       }
     }
 
-    // Round end: identical bookkeeping and termination to the other paths.
-    std::uint64_t next_live = live;
-    std::size_t keep = 0;
-    for (std::size_t bi = 0; bi < active_.size(); ++bi) {
-      const std::size_t b = active_[bi];
-      RoundStats& round = round_stats[b];
-      RunResult& result = results[b];
-      round.channels_opened = channels_per_round;
-      informed_[b] += newly_count_[b];
-      round.newly_informed = newly_count_[b];
-      round.informed = informed_[b];
-      result.push_tx += round.push_tx;
-      result.pull_tx += round.pull_tx;
-      result.channels_opened += round.channels_opened;
-      result.channels_failed += round.channels_failed;
-      if (limits.record_rounds) result.per_round.push_back(round);
-
-      const Count informed_alive = informed_alive_[b];
-      if (result.completion_round == kNever && alive > 0 &&
-          informed_alive >= alive)
-        result.completion_round = t;
-
-      const bool proto_done = protocols[b]->finished(t, informed_alive, alive);
-      const bool oracle_done =
-          limits.stop_when_all_informed && informed_alive >= alive;
-      if (proto_done || oracle_done) {
-        finalize(b, t);
-        next_live &= ~(std::uint64_t{1} << b);
-      } else {
-        active_[keep++] = b;
-      }
-    }
-    active_.resize(keep);
-    live = next_live;
+    end_round(protocols, t, channels_per_round, limits, results);
   }
-
-  for (const std::size_t b : active_) finalize(b, t);
-  active_.clear();
-
+  finish_lanes(results, t);
   return results;
 }
 

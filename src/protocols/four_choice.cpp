@@ -59,69 +59,8 @@ PhaseSchedule make_schedule_large_d(const FourChoiceConfig& cfg) {
 FourChoiceBroadcast::FourChoiceBroadcast(const FourChoiceConfig& cfg)
     : schedule_(make_schedule_small_d(cfg)) {}
 
-int FourChoiceBroadcast::phase_of(Round t) const {
-  if (t <= schedule_.phase1_end) return 1;
-  if (t <= schedule_.phase2_end) return 2;
-  if (t <= schedule_.phase3_end) return 3;
-  if (t <= schedule_.phase4_end) return 4;
-  return 0;
-}
-
-Action FourChoiceBroadcast::action(NodeId /*v*/, const NodeLocalState& state,
-                                   Round t) {
-  switch (phase_of(t)) {
-    case 1:
-      // "if the message is created or received for the first time in the
-      // previous step then push" — the source (informed_at == 0) pushes in
-      // round 1; everyone else pushes exactly once, right after receipt.
-      return state.informed_at == t - 1 ? Action::kPush : Action::kNone;
-    case 2:
-      return Action::kPush;
-    case 3:
-      return Action::kPull;
-    case 4:
-      // Nodes first informed in phase 3 or 4 are `active` from the round
-      // after receipt; active nodes push for the rest of the phase.
-      return state.informed_at > schedule_.phase2_end ? Action::kPush
-                                                      : Action::kNone;
-    default:
-      return Action::kNone;
-  }
-}
-
-bool FourChoiceBroadcast::finished(Round t, Count /*informed*/,
-                                   Count /*alive*/) const {
-  return t >= schedule_.phase4_end;
-}
-
 FourChoiceLargeDegree::FourChoiceLargeDegree(const FourChoiceConfig& cfg)
     : schedule_(make_schedule_large_d(cfg)) {}
-
-int FourChoiceLargeDegree::phase_of(Round t) const {
-  if (t <= schedule_.phase1_end) return 1;
-  if (t <= schedule_.phase2_end) return 2;
-  if (t <= schedule_.phase3_end) return 3;
-  return 0;
-}
-
-Action FourChoiceLargeDegree::action(NodeId /*v*/,
-                                     const NodeLocalState& state, Round t) {
-  switch (phase_of(t)) {
-    case 1:
-      return state.informed_at == t - 1 ? Action::kPush : Action::kNone;
-    case 2:
-      return Action::kPush;
-    case 3:
-      return Action::kPull;
-    default:
-      return Action::kNone;
-  }
-}
-
-bool FourChoiceLargeDegree::finished(Round t, Count /*informed*/,
-                                     Count /*alive*/) const {
-  return t >= schedule_.phase3_end;
-}
 
 bool four_choice_uses_large_degree(const FourChoiceConfig& cfg,
                                    NodeId degree) {

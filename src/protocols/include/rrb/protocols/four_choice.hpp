@@ -56,18 +56,52 @@ struct FourChoiceConfig {
 ///   Phase 4: nodes informed during phase 3/4 become `active` and push.
 /// Terminates at a fixed horizon — no oracle; transmissions are counted to
 /// the very end, exactly as the paper charges them.
+///
+/// The per-node action()/finished()/phase_of() bodies here and in the other
+/// four-choice protocols are defined inline, like the baselines': the
+/// engines call action() once per informed node (per lane) per round, and
+/// an out-of-line call would cost more than the few compares it makes.
 class FourChoiceBroadcast {
  public:
   explicit FourChoiceBroadcast(const FourChoiceConfig& cfg);
 
-  [[nodiscard]] Action action(NodeId v, const NodeLocalState& state, Round t);
-  [[nodiscard]] bool finished(Round t, Count informed, Count alive) const;
+  [[nodiscard]] Action action(NodeId /*v*/, const NodeLocalState& state,
+                              Round t) {
+    switch (phase_of(t)) {
+      case 1:
+        // "if the message is created or received for the first time in the
+        // previous step then push" — the source (informed_at == 0) pushes in
+        // round 1; everyone else pushes exactly once, right after receipt.
+        return state.informed_at == t - 1 ? Action::kPush : Action::kNone;
+      case 2:
+        return Action::kPush;
+      case 3:
+        return Action::kPull;
+      case 4:
+        // Nodes first informed in phase 3 or 4 are `active` from the round
+        // after receipt; active nodes push for the rest of the phase.
+        return state.informed_at > schedule_.phase2_end ? Action::kPush
+                                                        : Action::kNone;
+      default:
+        return Action::kNone;
+    }
+  }
+  [[nodiscard]] bool finished(Round t, Count /*informed*/,
+                              Count /*alive*/) const {
+    return t >= schedule_.phase4_end;
+  }
   [[nodiscard]] const char* name() const { return "four-choice/alg1"; }
 
   [[nodiscard]] const PhaseSchedule& schedule() const { return schedule_; }
 
   /// Which phase a given round falls into (1..4); 0 after the horizon.
-  [[nodiscard]] int phase_of(Round t) const;
+  [[nodiscard]] int phase_of(Round t) const {
+    if (t <= schedule_.phase1_end) return 1;
+    if (t <= schedule_.phase2_end) return 2;
+    if (t <= schedule_.phase3_end) return 3;
+    if (t <= schedule_.phase4_end) return 4;
+    return 0;
+  }
 
  private:
   PhaseSchedule schedule_;
@@ -79,12 +113,32 @@ class FourChoiceLargeDegree {
  public:
   explicit FourChoiceLargeDegree(const FourChoiceConfig& cfg);
 
-  [[nodiscard]] Action action(NodeId v, const NodeLocalState& state, Round t);
-  [[nodiscard]] bool finished(Round t, Count informed, Count alive) const;
+  [[nodiscard]] Action action(NodeId /*v*/, const NodeLocalState& state,
+                              Round t) {
+    switch (phase_of(t)) {
+      case 1:
+        return state.informed_at == t - 1 ? Action::kPush : Action::kNone;
+      case 2:
+        return Action::kPush;
+      case 3:
+        return Action::kPull;
+      default:
+        return Action::kNone;
+    }
+  }
+  [[nodiscard]] bool finished(Round t, Count /*informed*/,
+                              Count /*alive*/) const {
+    return t >= schedule_.phase3_end;
+  }
   [[nodiscard]] const char* name() const { return "four-choice/alg2"; }
 
   [[nodiscard]] const PhaseSchedule& schedule() const { return schedule_; }
-  [[nodiscard]] int phase_of(Round t) const;
+  [[nodiscard]] int phase_of(Round t) const {
+    if (t <= schedule_.phase1_end) return 1;
+    if (t <= schedule_.phase2_end) return 2;
+    if (t <= schedule_.phase3_end) return 3;
+    return 0;
+  }
 
  private:
   PhaseSchedule schedule_;

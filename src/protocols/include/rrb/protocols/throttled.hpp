@@ -28,9 +28,20 @@ class ThrottledPushPull {
  public:
   explicit ThrottledPushPull(const ThrottledConfig& cfg);
 
-  void on_round_start(Round t);
-  [[nodiscard]] Action action(NodeId v, const NodeLocalState& state, Round t);
-  [[nodiscard]] bool finished(Round t, Count informed, Count alive) const;
+  // Defined inline: action() runs once per informed node per round.
+  void on_round_start(Round /*t*/) { active_this_round_ = 0; }
+  [[nodiscard]] Action action(NodeId /*v*/, const NodeLocalState& state,
+                              Round t) {
+    if (t - state.informed_at > tau_) return Action::kNone;
+    ++active_this_round_;
+    return Action::kPushPull;
+  }
+  [[nodiscard]] bool finished(Round /*t*/, Count informed,
+                              Count /*alive*/) const {
+    // Quiescence: once every informed node has aged past tau, nothing can
+    // ever be transmitted again.
+    return informed > 0 && active_this_round_ == 0;
+  }
   [[nodiscard]] const char* name() const { return "throttled-push-pull"; }
 
   /// The per-node transmission window in rounds.

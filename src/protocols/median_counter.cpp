@@ -55,49 +55,4 @@ void MedianCounterProtocol::on_round_start(Round /*t*/) {
   touched_.clear();
 }
 
-Action MedianCounterProtocol::action(NodeId v, const NodeLocalState& state,
-                                     Round t) {
-  // Hard deadline: stop max_age rounds after first receipt.
-  if (t - state.informed_at > max_age_) return Action::kNone;
-  if (c_entered_[v] != kNever) {
-    // State C for final_rounds rounds, then quiet (state D).
-    if (t - c_entered_[v] >= final_rounds_) return Action::kNone;
-    ++active_this_round_;
-    return Action::kPushPull;
-  }
-  if (ctr_[v] >= ctr_max_) c_entered_[v] = t;
-  ++active_this_round_;
-  return Action::kPushPull;  // state B, or first round of C
-}
-
-MessageMeta MedianCounterProtocol::stamp(NodeId v, Round /*t*/) {
-  MessageMeta meta;
-  meta.counter = ctr_[v];
-  return meta;
-}
-
-void MedianCounterProtocol::on_receive(NodeId v, const MessageMeta& meta,
-                                       Round /*t*/, bool first_time) {
-  if (first_time) {
-    ctr_[v] = 1;
-    return;
-  }
-  if (ctr_[v] == 0) return;  // duplicate delivery within the joining round
-  const std::size_t cnt = sample_count_[v];
-  if (cnt < kMaxSamples) {
-    if (cnt == 0) touched_.push_back(v);
-    samples_[static_cast<std::size_t>(v) * kMaxSamples + cnt] = meta.counter;
-    ++sample_count_[v];
-  }
-}
-
-bool MedianCounterProtocol::finished(Round /*t*/, Count informed,
-                                     Count /*alive*/) const {
-  if (informed == 0) return true;
-  // Exact quiescence: no informed node transmitted this round. Uninformed
-  // nodes can only become active through a transmission, so once the active
-  // set is empty the execution is over for good.
-  return active_this_round_ == 0;
-}
-
 }  // namespace rrb

@@ -6,27 +6,4 @@ SequentialisedFourChoice::SequentialisedFourChoice(
     const FourChoiceConfig& cfg)
     : schedule_(make_schedule_small_d(cfg)) {}
 
-Action SequentialisedFourChoice::action(NodeId /*v*/,
-                                        const NodeLocalState& state,
-                                        Round t) {
-  const Round p = parallel_round(t);
-  // Parallel round in which this node was informed (0 for the source, which
-  // is informed at sequential step 0).
-  const Round q =
-      state.informed_at == 0 ? 0 : parallel_round(state.informed_at);
-
-  if (p <= schedule_.phase1_end)
-    return q == p - 1 ? Action::kPush : Action::kNone;
-  if (p <= schedule_.phase2_end) return Action::kPush;
-  if (p <= schedule_.phase3_end) return Action::kPull;
-  if (p <= schedule_.phase4_end)
-    return q > schedule_.phase2_end ? Action::kPush : Action::kNone;
-  return Action::kNone;
-}
-
-bool SequentialisedFourChoice::finished(Round t, Count /*informed*/,
-                                        Count /*alive*/) const {
-  return t >= 4 * schedule_.phase4_end;
-}
-
 }  // namespace rrb

@@ -19,22 +19,4 @@ ThrottledPushPull::ThrottledPushPull(const ThrottledConfig& cfg) {
   RRB_ASSERT(tau_ >= 1, "degenerate throttle window");
 }
 
-void ThrottledPushPull::on_round_start(Round /*t*/) {
-  active_this_round_ = 0;
-}
-
-Action ThrottledPushPull::action(NodeId /*v*/, const NodeLocalState& state,
-                                 Round t) {
-  if (t - state.informed_at > tau_) return Action::kNone;
-  ++active_this_round_;
-  return Action::kPushPull;
-}
-
-bool ThrottledPushPull::finished(Round /*t*/, Count informed,
-                                 Count /*alive*/) const {
-  // Quiescence: once every informed node has aged past tau, nothing can
-  // ever be transmitted again.
-  return informed > 0 && active_this_round_ == 0;
-}
-
 }  // namespace rrb

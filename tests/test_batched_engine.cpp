@@ -218,7 +218,7 @@ TEST(BatchedObservers, ObserverStreamsMatchSequential) {
         // Hook-derived whole-run summary (on_run_begin/round_end/run_end).
         expect_run_eq(got.get<RunSummaryObserver>().result(),
                       want.get<RunSummaryObserver>().result());
-        // Per-round informed_at scans (exercises the lane gather path).
+        // Per-round informed_at scans.
         const auto& got_points = got.get<SetSizeObserver>().points();
         const auto& want_points = want.get<SetSizeObserver>().points();
         ASSERT_EQ(got_points.size(), want_points.size());
@@ -370,6 +370,122 @@ TEST(BatchedEngine, StateDependentHookFreeProtocolMatchesSequential) {
     PhoneCallEngine<GraphTopology> engine(topo, channel, rng);
     expect_run_eq(results[i],
                   engine.run(proto, static_cast<NodeId>(3 * i), limits));
+  }
+}
+
+// ---- The kernel ladder -----------------------------------------------------
+
+void expect_choice(const BatchedKernelChoice& got, BatchedKernel kernel,
+                   const std::string& reason) {
+  EXPECT_EQ(batched_kernel_name(got.kernel), batched_kernel_name(kernel));
+  EXPECT_EQ(std::string(got.reason), reason);
+}
+
+TEST(BatchedKernelLadder, PinsEachSchemesKernelAtFourLanes) {
+  const Graph g = test_graph();
+  const GraphTopology topo(g);
+  struct Case {
+    BroadcastScheme scheme;
+    bool quasirandom;
+    BatchedKernel kernel;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {BroadcastScheme::kPush, false, BatchedKernel::kClassic, ""},
+      {BroadcastScheme::kPull, false, BatchedKernel::kClassic, ""},
+      {BroadcastScheme::kPushPull, false, BatchedKernel::kClassic, ""},
+      {BroadcastScheme::kFixedHorizonPush, false, BatchedKernel::kClassic,
+       ""},
+      {BroadcastScheme::kFourChoice, false, BatchedKernel::kBitmask, ""},
+      {BroadcastScheme::kMedianCounter, false, BatchedKernel::kSequential,
+       "protocol hooks"},
+      {BroadcastScheme::kThrottledPushPull, false,
+       BatchedKernel::kSequential, "protocol hooks"},
+      {BroadcastScheme::kSequentialised, false, BatchedKernel::kSequential,
+       "memory > 0"},
+      {BroadcastScheme::kPush, true, BatchedKernel::kSequential,
+       "quasirandom"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(scheme_name(c.scheme)) +
+                 (c.quasirandom ? "/quasirandom" : ""));
+    BroadcastOptions opt;
+    opt.scheme = c.scheme;
+    opt.quasirandom = c.quasirandom;
+    expect_choice(
+        with_scheme(g, opt,
+                    [&](auto proto, const ChannelConfig& channel) {
+                      return batched_kernel_for<decltype(proto),
+                                                detail::NoMetrics>(
+                          channel, 4, topo);
+                    }),
+        c.kernel, c.reason);
+  }
+  // Type-erased protocols (run_trials with a ProtocolFactory) expose every
+  // hook virtually, so they always take the fallback.
+  expect_choice(batched_kernel_for<BroadcastProtocol, detail::NoMetrics>(
+                    ChannelConfig{}, 4, topo),
+                BatchedKernel::kSequential, "protocol hooks");
+  // The remaining refusals: hooked observers and a group wider than a mask.
+  expect_choice(batched_kernel_for<PushProtocol, FreeStack>(ChannelConfig{},
+                                                            4, topo),
+                BatchedKernel::kSequential, "observer hooks");
+  expect_choice(batched_kernel_for<PushProtocol, detail::NoMetrics>(
+                    ChannelConfig{}, 65, topo),
+                BatchedKernel::kSequential, "lanes > 64");
+}
+
+/// A graph with slot 0 permanently dead — the one refusal no scheme or
+/// channel option can produce on a Graph.
+class DeadSlotZero {
+ public:
+  explicit DeadSlotZero(const Graph& g) : topo_(g) {}
+  [[nodiscard]] NodeId num_slots() const { return topo_.num_slots(); }
+  [[nodiscard]] Count num_alive() const { return topo_.num_alive() - 1; }
+  [[nodiscard]] bool is_alive(NodeId v) const { return v != 0; }
+  [[nodiscard]] NodeId degree(NodeId v) const { return topo_.degree(v); }
+  [[nodiscard]] NodeId neighbor(NodeId v, NodeId i) const {
+    return topo_.neighbor(v, i);
+  }
+
+ private:
+  GraphTopology topo_;
+};
+
+TEST(BatchedKernelLadder, DeadNodesRunLaneByLaneBitIdentically) {
+  const Graph g = test_graph();
+  const DeadSlotZero topo(g);
+  const ChannelConfig channel;
+  expect_choice(
+      batched_kernel_for<PushPullProtocol, detail::NoMetrics>(channel, 3, topo),
+      BatchedKernel::kSequential, "dead nodes");
+
+  RunLimits limits;
+  limits.record_rounds = true;
+  std::vector<PushPullProtocol> lane_protos(3);
+  std::vector<PushPullProtocol*> protos;
+  std::vector<NodeId> sources;
+  std::vector<Rng> rngs;
+  for (std::size_t i = 0; i < lane_protos.size(); ++i) {
+    protos.push_back(&lane_protos[i]);
+    sources.push_back(static_cast<NodeId>(1 + 5 * i));
+    rngs.push_back(Rng(0xba7c40a).fork(i));
+  }
+  BatchedPhoneCallEngine<DeadSlotZero> batched(topo, channel);
+  const std::vector<RunResult> results =
+      batched.run(std::span<PushPullProtocol* const>(protos),
+                  std::span<const NodeId>(sources), std::span<Rng>(rngs),
+                  limits);
+  ASSERT_EQ(results.size(), lane_protos.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    SCOPED_TRACE("lane " + std::to_string(i));
+    Rng rng = Rng(0xba7c40a).fork(i);
+    PushPullProtocol proto;
+    const DeadSlotZero seq_topo(g);
+    PhoneCallEngine<const DeadSlotZero> engine(seq_topo, channel, rng);
+    const RunResult sequential = engine.run(proto, sources[i], limits);
+    EXPECT_EQ(sequential.alive_at_end, g.num_nodes() - 1);
+    expect_run_eq(results[i], sequential);
   }
 }
 
