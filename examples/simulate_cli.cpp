@@ -266,33 +266,34 @@ int main(int argc, char** argv) {
     opt.n = loaded.num_nodes();
   }
 
-  // The scheme's canonical protocol/channel pairing, via the same dispatch
-  // the broadcast() facade uses; CLI channel overrides go on top.
+  // Trials dispatch the scheme statically on each trial's graph, exactly as
+  // broadcast() does; the CLI channel overrides ride on the options.
   BroadcastOptions scheme_options;
   scheme_options.scheme = *scheme;
+  scheme_options.seed = opt.seed;
   scheme_options.n_estimate = opt.n;
   scheme_options.alpha = opt.alpha;
   scheme_options.failure_prob = opt.failure;
   scheme_options.memory = opt.memory;
+  scheme_options.num_choices = std::max(0, opt.choices);
   scheme_options.quasirandom = opt.quasirandom;
+  scheme_options.trials = opt.trials;
+  scheme_options.runner = opt.runner;
 
+  // Reject bad channel combinations up front, on the nominal shape.
   SchemeShape shape;
   shape.n = opt.n;
   shape.degree = opt.d;
-  shape.mean_degree = static_cast<double>(opt.d);
-  ChannelConfig channel;
   try {
-    channel = with_scheme(
+    const ChannelConfig channel = with_scheme(
         shape, scheme_options,
         [](auto, const ChannelConfig& paired) { return paired; });
+    if (channel.quasirandom && channel.memory > 0)
+      throw std::runtime_error(
+          "--quasirandom cannot be combined with a positive memory window "
+          "(use --memory 0 with seq)");
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
-  if (opt.choices > 0) channel.num_choices = opt.choices;
-  if (channel.quasirandom && channel.memory > 0) {
-    std::cerr << "error: --quasirandom cannot be combined with a positive "
-                 "memory window (use --memory 0 with seq)\n";
     return 2;
   }
 
@@ -304,26 +305,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  TrialConfig config;
-  config.trials = opt.trials;
-  config.seed = opt.seed;
-  config.channel = channel;
-  config.runner = opt.runner;
-
-  const ProtocolFactory protocol_factory =
-      [&scheme_options](const Graph& graph) {
-        return make_scheme(graph, scheme_options).protocol;
-      };
-
   // The observed overload returns a byte-identical TrialOutcome (observers
   // are read-only), so both branches print the very same summary table.
   TrialOutcome out;
   std::vector<MetricStack> stacks;
   if (selected_metrics.empty()) {
-    out = run_trials(graph_factory, protocol_factory, config);
+    out = broadcast_trials(graph_factory, scheme_options);
   } else {
-    ObservedOutcome<MetricStack> observed = run_trials(
-        graph_factory, protocol_factory, config,
+    ObservedOutcome<MetricStack> observed = broadcast_trials(
+        graph_factory, scheme_options,
         [](const Graph&) { return MetricStack{}; });
     out = std::move(observed.outcome);
     stacks = std::move(observed.observers);

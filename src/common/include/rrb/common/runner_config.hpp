@@ -22,23 +22,21 @@ struct RunnerConfig {
   /// calling thread (no pool is spawned).
   int threads = 0;
 
-  /// Consecutive trials claimed per scheduling task. 0 = automatic: a
-  /// bounded default of ceil(trials / (4 · workers)), i.e. about four
-  /// chunks per worker — enough slack for dynamic load balancing while
-  /// keeping the number of chunk-indexed result slots O(threads) instead
-  /// of O(trials) (a million-trial sweep must not allocate a million
-  /// partial-reduction slots). Larger explicit chunks amortise scheduling
-  /// overhead further when trials are tiny.
+  /// Consecutive trials claimed per scheduling task — scheduling
+  /// granularity only. 0 = automatic: ceil(trials / (4 · workers)), i.e.
+  /// about four chunks per worker, enough slack for dynamic load balancing
+  /// with few claims on the shared counter. Larger explicit chunks amortise
+  /// scheduling overhead further when trials are tiny.
   int chunk = 0;
 
   /// Trials advanced in lockstep per BatchedPhoneCallEngine call on
-  /// execution paths that support batching — fixed-topology trial sweeps
-  /// (broadcast_trials and the fixed-graph run_trials overload). 0 =
-  /// sequential engine, one run per trial. Batching is pure scheduling:
-  /// each lane keeps its own Rng(seed).fork(i) stream and draw order, so
-  /// any batch value produces bit-identical output (pinned by
+  /// execution paths that support batching — trial sweeps over one fixed
+  /// graph (broadcast_trials and run_trials on a Graph). 0 = sequential
+  /// engine, one run per trial. Batching is pure scheduling: each lane
+  /// keeps its own Rng(seed).fork(i) stream and draw order, so any batch
+  /// value produces bit-identical output (pinned by
   /// tests/test_batched_engine.cpp). Paths that rebuild the topology per
-  /// trial (factory-based run_trials, churn campaigns) ignore it.
+  /// trial (GraphFactory sweeps, campaign cells, traces) ignore it.
   int batch = 0;
 };
 

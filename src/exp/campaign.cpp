@@ -34,12 +34,14 @@ namespace {
   return os.str();
 }
 
-/// The facade options a cell translates to. The per-run seed fields are
-/// irrelevant here: trial randomness comes from Rng(cell.seed).fork(trial).
+/// The facade options a cell translates to. Trial i of the cell draws from
+/// Rng(cell.seed).fork(i).
 [[nodiscard]] BroadcastOptions options_for(const CampaignSpec& spec,
                                            const CampaignCell& cell) {
   BroadcastOptions options;
   options.scheme = cell.scheme;
+  options.seed = cell.seed;
+  options.trials = spec.trials;
   options.n_estimate = cell.n;
   options.alpha = cell.alpha;
   options.failure_prob = cell.failure;
@@ -48,19 +50,6 @@ namespace {
   options.memory = cell.memory;        // -1 = scheme canonical
   options.max_rounds = spec.max_rounds;
   return options;
-}
-
-// Cells reaching the runner come from expand_cells, which has already
-// normalised cell.d to the family's effective degree (hypercube dim,
-// complete n-1) — so cell.d IS the degree the topology will have, and
-// there is exactly one place that derives it (spec.cpp).
-
-[[nodiscard]] SchemeShape shape_for(const CampaignCell& cell) {
-  SchemeShape shape;
-  shape.n = cell.n;
-  shape.degree = cell.d;
-  shape.mean_degree = static_cast<double>(cell.d);
-  return shape;
 }
 
 [[nodiscard]] GraphFactory graph_factory_for(const CampaignSpec& spec,
@@ -159,39 +148,27 @@ void set_static_columns(JsonObject& record, const TrialOutcome& out) {
       .set("pull_tx_mean", out.pull_tx.mean);
 }
 
-/// Static-graph cell: the same run_trials path the bench harness has
-/// always used — graph regenerated per trial, protocol from the canonical
-/// scheme pairing, trials reduced in trial order. With metrics selected,
-/// the observed overload runs instead: observers are read-only, so every
-/// base column keeps its exact metric-less value and the digests land in
-/// appended columns (pinned in tests/test_campaign.cpp).
+/// Static-graph cell: the graph is regenerated per trial and the scheme is
+/// statically dispatched on each trial's own graph (broadcast_trials), with
+/// trials reduced in trial order. With metrics selected, the observed
+/// overload runs instead: observers are read-only, so every base column
+/// keeps its exact metric-less value and the digests land in appended
+/// columns (pinned in tests/test_campaign.cpp).
 void run_static_cell(const CampaignSpec& spec, const CampaignCell& cell,
                      const RunnerConfig& trial_runner, JsonObject& record) {
-  const BroadcastOptions options = options_for(spec, cell);
-
-  TrialConfig config;
-  config.trials = spec.trials;
-  config.seed = cell.seed;
-  config.channel = with_scheme(
-      shape_for(cell), options,
-      [](auto, const ChannelConfig& channel) { return channel; });
-  config.limits.max_rounds = spec.max_rounds;
-  config.random_source = spec.random_source;
-  config.runner = trial_runner;
-
+  BroadcastOptions options = options_for(spec, cell);
+  options.runner = trial_runner;
   const GraphFactory graph_factory = graph_factory_for(spec, cell);
-  const ProtocolFactory protocol_factory = [options](const Graph& graph) {
-    return make_scheme(graph, options).protocol;
-  };
+  const NodeId source = spec.random_source ? kNoNode : 0;
 
   if (spec.metrics.empty()) {
-    set_static_columns(record, run_trials(graph_factory, protocol_factory,
-                                          config));
+    set_static_columns(record,
+                       broadcast_trials(graph_factory, options, source));
     return;
   }
-  const ObservedOutcome<MetricStack> observed = run_trials(
-      graph_factory, protocol_factory, config,
-      [](const Graph&) { return MetricStack{}; });
+  const ObservedOutcome<MetricStack> observed = broadcast_trials(
+      graph_factory, options, [](const Graph&) { return MetricStack{}; },
+      source);
   set_static_columns(record, observed.outcome);
   set_metric_columns(record, spec, observed.observers);
 }
@@ -215,7 +192,9 @@ void run_churn_cell(const CampaignSpec& spec, const CampaignCell& cell,
   std::vector<Measurement> slots(static_cast<std::size_t>(spec.trials));
 
   const BroadcastOptions options = options_for(spec, cell);
-  const SchemeShape shape = shape_for(cell);
+  // expand_cells has normalised cell.d to the family's effective degree
+  // (hypercube dim, complete n-1), so it IS the overlay's degree.
+  const SchemeShape shape{cell.n, cell.d, static_cast<double>(cell.d)};
   const NodeId capacity =
       cell.n + static_cast<NodeId>(std::ceil(
                    static_cast<double>(cell.n) * spec.churn_headroom));

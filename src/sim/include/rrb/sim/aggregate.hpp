@@ -26,21 +26,12 @@ struct Summary {
 ///
 /// Not thread-safe: concurrent add() calls race on the backing vector, and
 /// even a locked vector would record samples in scheduling order, making
-/// the Summary depend on thread timing. Parallel reductions instead keep
-/// one accumulator per worker chunk and combine them with merge() in chunk
-/// order once the pool has drained.
+/// the Summary depend on thread timing. Parallel reductions instead park
+/// one result per trial and add them in trial order once the pool has
+/// drained.
 class SummaryAccumulator {
  public:
   void add(double value) { values_.push_back(value); }
-
-  /// Append another accumulator's samples after this one's, preserving
-  /// both insertion orders. Pure concatenation — no intermediate
-  /// arithmetic — so the combine is associative and merging ordered
-  /// per-chunk accumulators reproduces the sequential sample order (and
-  /// therefore a byte-identical Summary) exactly.
-  void merge(const SummaryAccumulator& other) {
-    values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-  }
 
   [[nodiscard]] Summary finish() const { return summarize(values_); }
   [[nodiscard]] const std::vector<double>& values() const { return values_; }

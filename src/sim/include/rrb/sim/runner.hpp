@@ -37,9 +37,8 @@ class ParallelRunner {
   [[nodiscard]] static int resolve_threads(const RunnerConfig& config);
 
   /// Trials claimed per scheduling task: config.chunk when positive, else
-  /// a bounded default of ceil(trials / (4 · resolve_threads())) — about
-  /// four chunks per worker, so chunk-indexed partial-reduction slots stay
-  /// O(threads) however many trials there are.
+  /// ceil(trials / (4 · resolve_threads())) — about four chunks per
+  /// worker.
   [[nodiscard]] int resolved_chunk(int trials) const;
 
   /// Number of contiguous chunks [begin, end) that cover [0, trials).

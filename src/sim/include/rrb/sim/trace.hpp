@@ -1,13 +1,10 @@
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "rrb/common/runner_config.hpp"
-#include "rrb/graph/graph.hpp"
 #include "rrb/phonecall/engine.hpp"
-#include "rrb/rng/rng.hpp"
+#include "rrb/sim/trial.hpp"
 
 /// \file trace.hpp
 /// Per-round set-size traces averaged over trials: the raw material for the
@@ -17,10 +14,11 @@
 ///
 /// Measurement runs through the metric-observer pipeline
 /// (SetSizeObserver / HSetObserver / EdgeUsageObserver in
-/// rrb/metrics/observers.hpp) — this driver only schedules trials and
-/// averages their per-round series. The observer migration is value-exact:
-/// tests/test_metrics.cpp pins the traced numbers against values captured
-/// from the pre-observer engine path.
+/// rrb/metrics/observers.hpp) on the observed run_trials sweep
+/// (rrb/sim/trial.hpp) — this driver only averages the per-round series.
+/// The observer migration is value-exact: tests/test_metrics.cpp pins the
+/// traced numbers against values captured from the pre-observer engine
+/// path.
 ///
 /// Trials run on the deterministic parallel runner (rrb/sim/runner.hpp):
 /// each trial records its own per-round trace from Rng(seed).fork(trial),
@@ -51,17 +49,14 @@ struct TraceConfig {
   RunnerConfig runner;           ///< worker pool; never changes the output
 };
 
-/// Protocol factory as in trial.hpp, but graphs are provided by the caller
-/// per trial via the factory to keep the probability space identical.
-using TraceProtocolFactory =
-    std::function<std::unique_ptr<BroadcastProtocol>(const Graph&)>;
-using TraceGraphFactory = std::function<Graph(Rng&)>;
-
 /// Run trials and average the per-round set sizes. The trace length is the
-/// maximum round count across trials; trials that stopped earlier
-/// contribute their final state to later rounds (the sets are monotone).
+/// maximum round count across trials, and round t is averaged only over the
+/// trials that ran at least t rounds: a trial that stopped earlier does not
+/// contribute to later rounds, so the tail of the trace describes the
+/// slowest trials alone. Throws std::logic_error when trials < 1, a trial
+/// graph has fewer than 2 nodes, or the protocol factory returns null.
 [[nodiscard]] std::vector<SetTracePoint> trace_set_sizes(
-    const TraceGraphFactory& graph_factory,
-    const TraceProtocolFactory& protocol_factory, const TraceConfig& config);
+    const GraphFactory& graph_factory,
+    const ProtocolFactory& protocol_factory, const TraceConfig& config);
 
 }  // namespace rrb

@@ -1,8 +1,11 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -21,21 +24,25 @@
 #include "rrb/sim/runner.hpp"
 
 /// \file trial.hpp
-/// Repeated-trial experiment driver: regenerates the random graph per trial
-/// (matching the paper's "random graph, random algorithm" probability
-/// space), runs a protocol from a random source, and aggregates.
+/// Repeated-trial experiment driver: runs a protocol from a random source
+/// on a graph rebuilt per trial (the paper's "random graph, random
+/// algorithm" probability space) or on one fixed graph ("random algorithm"
+/// only), and aggregates.
 ///
-/// Trials execute on the deterministic parallel runner (rrb/sim/runner.hpp):
-/// trial i draws every random bit from Rng(seed).fork(i) and results are
-/// reduced in trial order, so the outcome is bit-identical for any
-/// RunnerConfig — the sequential path is just threads = 1.
+/// Every public driver is a thin wrapper over one sweep, detail::sweep. It
+/// takes a graph source (a per-trial GraphFactory, or one fixed Graph — the
+/// only source config.runner.batch can advance in lockstep), a protocol
+/// source (a BroadcastOptions scheme, statically dispatched per trial graph,
+/// or a type-erased ProtocolFactory plus its ChannelConfig) and an observer
+/// factory. Trial i draws every random bit from Rng(seed).fork(i), writes
+/// its own result slot, and the slots are reduced in trial order, so the
+/// outcome is bit-identical for any RunnerConfig.
 ///
-/// Every driver has an observer-aware overload: pass a factory building a
-/// fresh MetricObserver per trial (rrb/metrics/observer.hpp) and get the
-/// observers back *in trial order* next to the usual TrialOutcome.
-/// Observers are read-only and draw nothing, so the instrumented overloads
-/// return byte-identical TrialOutcomes to the bare ones — the observers are
-/// pure extra columns (pinned in tests/test_metrics.cpp).
+/// The observer-aware overloads build a fresh MetricObserver per trial
+/// (rrb/metrics/observer.hpp) and return the observers *in trial order*
+/// next to the usual TrialOutcome. Observers are read-only and draw
+/// nothing, so the instrumented overloads return byte-identical
+/// TrialOutcomes to the bare ones (pinned in tests/test_metrics.cpp).
 
 namespace rrb {
 
@@ -75,33 +82,6 @@ struct TrialOutcome {
   double completion_rate = 0.0;  ///< fraction of runs informing everyone
 };
 
-/// Run `config.trials` independent trials, regenerating the random graph
-/// per trial. Rebuilding the topology every trial is what the paper's
-/// probability space asks for, and it is also why this overload ignores
-/// config.runner.batch — lockstep lanes need one shared topology.
-[[nodiscard]] TrialOutcome run_trials(const GraphFactory& graph_factory,
-                                      const ProtocolFactory& protocol_factory,
-                                      const TrialConfig& config);
-
-/// Fixed-graph trial sweep: every trial runs a fresh protocol instance on
-/// the same immutable graph ("random algorithm" randomness only). Trial i
-/// draws from Rng(config.seed).fork(i): its source first (uniform when
-/// config.random_source, else node 0), then the engine's round draws.
-/// This is the overload config.runner.batch accelerates — batch >= 1
-/// advances that many trials in lockstep on BatchedPhoneCallEngine,
-/// bit-identically to batch = 0 (pinned by tests/test_batched_engine.cpp).
-[[nodiscard]] TrialOutcome run_trials(const Graph& graph,
-                                      const ProtocolFactory& protocol_factory,
-                                      const TrialConfig& config);
-
-/// Repeat a broadcast() scheme options.trials times on a fixed graph,
-/// scheduled by options.runner. Trial i runs a fresh protocol instance
-/// seeded from (options.seed, i); `source` fixes the originator, or pass
-/// kNoNode to draw a fresh uniform source per trial.
-[[nodiscard]] TrialOutcome broadcast_trials(const Graph& graph,
-                                            const BroadcastOptions& options,
-                                            NodeId source = kNoNode);
-
 /// An instrumented trial sweep: the usual TrialOutcome (byte-identical to
 /// the bare overload's) plus one observer per trial, in trial order — the
 /// shape the seeding contract demands for any reduction over them.
@@ -114,48 +94,190 @@ struct ObservedOutcome {
 namespace detail {
 
 /// Reduce per-trial RunResults, already in trial order, into a
-/// TrialOutcome. The same reduction the bare drivers apply chunk-wise —
-/// samples enter each Summary in ascending trial order either way, so both
-/// paths produce byte-identical outcomes.
+/// TrialOutcome: samples enter each Summary in ascending trial order.
 [[nodiscard]] TrialOutcome reduce_runs(std::vector<RunResult>&& runs);
 
-/// Advance trials [first_trial, first_trial + lanes) of a fixed-graph
-/// sweep in lockstep on BatchedPhoneCallEngine. Lane b is trial
-/// first_trial + b: it seeds Rng(seed).fork(trial) and makes the exact
-/// draws the sequential drivers make on that stream — the source first
-/// (when fixed_source == kNoNode; a fixed source draws nothing), then the
-/// round loop — so out[b] is bit-identical to the sequential trial.
-/// protocols/observers/out carry one entry per lane; protocol instances
-/// must be freshly built for this group.
-template <ProtocolImpl ProtocolT, typename ObserverT>
-void run_batched_lanes(const Graph& graph, const ChannelConfig& channel,
-                       const RunLimits& limits,
-                       std::span<ProtocolT* const> protocols,
-                       std::uint64_t seed, int first_trial,
-                       NodeId fixed_source, std::span<ObserverT> observers,
-                       std::span<RunResult> out) {
-  const std::size_t lanes = protocols.size();
-  RRB_REQUIRE(out.size() == lanes, "one result slot per lane");
-  std::vector<Rng> rngs;
-  rngs.reserve(lanes);
-  std::vector<NodeId> sources(lanes);
+/// Everything a sweep needs besides its sources.
+struct SweepPlan {
+  int trials = 1;
+  std::uint64_t seed = 0;
+  RunLimits limits;
+  NodeId source = kNoNode;  ///< kNoNode: a uniform source drawn per trial
+  RunnerConfig runner;
+};
+
+[[nodiscard]] SweepPlan plan_for(const TrialConfig& config);
+[[nodiscard]] SweepPlan plan_for(const BroadcastOptions& options,
+                                 NodeId source);
+
+/// Protocol source: a type-erased factory paired with a fixed channel.
+struct FactorySource {
+  const ProtocolFactory& factory;
+  const ChannelConfig& channel;
+};
+
+/// Build `lanes` fresh protocol instances for `graph` and invoke
+/// body(std::span<P* const>, channel) with the protocols' static type P: a
+/// scheme's concrete protocol, or BroadcastProtocol for a factory.
+template <typename Body>
+decltype(auto) with_protocols(const BroadcastOptions& options,
+                              const Graph& graph, std::size_t lanes,
+                              Body&& body) {
+  return with_scheme(
+      graph, options, [&](auto proto, const ChannelConfig& channel) {
+        using Proto = decltype(proto);
+        std::vector<Proto> protos(lanes, proto);
+        std::vector<Proto*> ptrs;
+        for (Proto& p : protos) ptrs.push_back(&p);
+        return body(std::span<Proto* const>(ptrs), channel);
+      });
+}
+
+template <typename Body>
+decltype(auto) with_protocols(const FactorySource& source, const Graph& graph,
+                              std::size_t lanes, Body&& body) {
+  std::vector<std::unique_ptr<BroadcastProtocol>> protos;
+  std::vector<BroadcastProtocol*> ptrs;
   for (std::size_t b = 0; b < lanes; ++b) {
-    rngs.push_back(
-        Rng(seed).fork(static_cast<std::uint64_t>(first_trial) + b));
-    sources[b] =
-        fixed_source != kNoNode
-            ? fixed_source
-            : static_cast<NodeId>(rngs.back().uniform_u64(graph.num_nodes()));
+    protos.push_back(source.factory(graph));
+    RRB_REQUIRE(protos.back() != nullptr, "protocol factory returned null");
+    ptrs.push_back(protos.back().get());
   }
-  GraphTopology topo(graph);
-  BatchedPhoneCallEngine<GraphTopology> engine(topo, channel);
-  std::vector<RunResult> results =
-      engine.run(protocols, std::span<const NodeId>(sources),
-                 std::span<Rng>(rngs), limits, observers);
-  for (std::size_t b = 0; b < lanes; ++b) out[b] = std::move(results[b]);
+  return body(std::span<BroadcastProtocol* const>(ptrs), source.channel);
+}
+
+/// The trial's graph: the fixed one, or a fresh one built from the trial
+/// stream (its draws come first, before the source and the round loop).
+template <typename Body>
+void with_trial_graph(const Graph& graph, Rng&, Body&& body) {
+  body(graph);
+}
+
+template <typename Body>
+void with_trial_graph(const GraphFactory& factory, Rng& rng, Body&& body) {
+  body(factory(rng));
+}
+
+struct MakeNoMetrics {
+  NoMetrics operator()(const Graph&) const { return {}; }
+};
+
+/// The one trial sweep every driver runs. Trial i seeds Rng(seed).fork(i)
+/// and draws, in order: its graph (per-trial sources only), its source
+/// (unless plan.source fixes one), then the engine's round draws. A fixed
+/// graph with plan.runner.batch >= 1 advances groups of that many trials in
+/// lockstep on BatchedPhoneCallEngine with the same per-lane streams, so
+/// runs and observers come out bit-identical to batch = 0 (pinned by
+/// tests/test_batched_engine.cpp); a per-trial graph source ignores batch,
+/// since lockstep lanes need one shared topology.
+template <typename GraphSource, typename ProtocolSource,
+          typename MakeObserver = MakeNoMetrics,
+          MetricObserver Obs =
+              std::invoke_result_t<const MakeObserver&, const Graph&>>
+[[nodiscard]] ObservedOutcome<Obs> sweep(
+    const GraphSource& graphs, const ProtocolSource& protocols,
+    const SweepPlan& plan, const MakeObserver& make_observer = {}) {
+  RRB_REQUIRE(plan.trials >= 1, "need at least one trial");
+  constexpr bool kFixedGraph = std::is_same_v<GraphSource, Graph>;
+  const int width = kFixedGraph ? std::max(1, plan.runner.batch) : 1;
+  const auto trials = static_cast<std::size_t>(plan.trials);
+  std::vector<RunResult> runs(trials);
+  std::vector<std::optional<Obs>> slots(trials);
+
+  ParallelRunner runner(plan.runner);
+  runner.for_each_trial((plan.trials + width - 1) / width, [&](int group) {
+    const auto first = static_cast<std::size_t>(group) *
+                       static_cast<std::size_t>(width);
+    const std::size_t lanes =
+        std::min(static_cast<std::size_t>(width), trials - first);
+    Rng rng = Rng(plan.seed).fork(first);
+    with_trial_graph(graphs, rng, [&](const Graph& graph) {
+      RRB_REQUIRE(graph.num_nodes() >= 2, "trial graph too small");
+      RRB_REQUIRE(plan.source == kNoNode || plan.source < graph.num_nodes(),
+                  "source out of range");
+      // Lane b is trial first + b and draws its source from its own
+      // stream; lane 0 continues `rng` past the graph's draws.
+      std::vector<Rng> rngs;
+      std::vector<NodeId> sources;
+      for (std::size_t b = 0; b < lanes; ++b) {
+        rngs.push_back(b == 0 ? rng : Rng(plan.seed).fork(first + b));
+        sources.push_back(
+            plan.source != kNoNode
+                ? plan.source
+                : static_cast<NodeId>(
+                      rngs.back().uniform_u64(graph.num_nodes())));
+      }
+      std::vector<Obs> observers;
+      observers.reserve(lanes);
+      for (std::size_t b = 0; b < lanes; ++b)
+        observers.push_back(make_observer(graph));
+
+      with_protocols(protocols, graph, lanes,
+                     [&](auto protos, const ChannelConfig& channel) {
+        GraphTopology topo(graph);
+        if constexpr (kFixedGraph) {
+          if (plan.runner.batch >= 1) {
+            BatchedPhoneCallEngine<GraphTopology> engine(topo, channel);
+            std::vector<RunResult> results = engine.run(
+                protos, std::span<const NodeId>(sources),
+                std::span<Rng>(rngs), plan.limits, std::span<Obs>(observers));
+            for (std::size_t b = 0; b < lanes; ++b)
+              runs[first + b] = std::move(results[b]);
+            return;
+          }
+        }
+        PhoneCallEngine<GraphTopology> engine(topo, channel, rngs[0]);
+        runs[first] =
+            engine.run(*protos[0], sources[0], plan.limits, observers[0]);
+      });
+      for (std::size_t b = 0; b < lanes; ++b)
+        slots[first + b] = std::move(observers[b]);
+    });
+  });
+
+  ObservedOutcome<Obs> observed;
+  observed.outcome = reduce_runs(std::move(runs));
+  observed.observers.reserve(trials);
+  for (std::optional<Obs>& slot : slots)
+    observed.observers.push_back(std::move(*slot));
+  return observed;
 }
 
 }  // namespace detail
+
+/// Run `config.trials` independent trials, regenerating the random graph
+/// per trial. Rebuilding the topology every trial is what the paper's
+/// probability space asks for, and it is also why this overload ignores
+/// config.runner.batch — lockstep lanes need one shared topology.
+[[nodiscard]] TrialOutcome run_trials(const GraphFactory& graph_factory,
+                                      const ProtocolFactory& protocol_factory,
+                                      const TrialConfig& config);
+
+/// Fixed-graph trial sweep: every trial runs a fresh protocol instance on
+/// the same immutable graph ("random algorithm" randomness only). Trial i
+/// draws from Rng(config.seed).fork(i): its source first (uniform when
+/// config.random_source, else node 0), then the engine's round draws.
+/// This is the overload config.runner.batch accelerates.
+[[nodiscard]] TrialOutcome run_trials(const Graph& graph,
+                                      const ProtocolFactory& protocol_factory,
+                                      const TrialConfig& config);
+
+/// Repeat a broadcast() scheme options.trials times on a fixed graph,
+/// scheduled by options.runner (batch included). Trial i runs a fresh,
+/// statically dispatched protocol instance seeded from (options.seed, i);
+/// `source` fixes the originator, or pass kNoNode to draw a fresh uniform
+/// source per trial.
+[[nodiscard]] TrialOutcome broadcast_trials(const Graph& graph,
+                                            const BroadcastOptions& options,
+                                            NodeId source = kNoNode);
+
+/// broadcast_trials on a graph rebuilt per trial: the scheme is dispatched
+/// statically on each trial's own graph, so degree-keyed schemes (throttled,
+/// four-choice Alg 1 vs 2, fixed horizon) follow that graph's min or mean
+/// degree. Ignores options.runner.batch, like the factory run_trials.
+[[nodiscard]] TrialOutcome broadcast_trials(const GraphFactory& graph_factory,
+                                            const BroadcastOptions& options,
+                                            NodeId source = kNoNode);
 
 /// Observer-aware run_trials: `make_observer(graph)` builds the trial's
 /// observer before the run; the engine fires its hooks from inside the
@@ -168,119 +290,31 @@ template <typename MakeObserver,
     const GraphFactory& graph_factory,
     const ProtocolFactory& protocol_factory, const TrialConfig& config,
     const MakeObserver& make_observer) {
-  RRB_REQUIRE(config.trials >= 1, "need at least one trial");
-  const auto trials = static_cast<std::size_t>(config.trials);
-  std::vector<RunResult> runs(trials);
-  std::vector<std::optional<Obs>> slots(trials);
-
-  ParallelRunner runner(config.runner);
-  runner.for_each_trial(config.trials, [&](int trial) {
-    Rng rng = Rng(config.seed).fork(static_cast<std::uint64_t>(trial));
-    const Graph graph = graph_factory(rng);
-    RRB_REQUIRE(graph.num_nodes() >= 2, "trial graph too small");
-    auto protocol = protocol_factory(graph);
-    RRB_REQUIRE(protocol != nullptr, "protocol factory returned null");
-    Obs observers = make_observer(graph);
-
-    GraphTopology topo(graph);
-    PhoneCallEngine<GraphTopology> engine(topo, config.channel, rng);
-    const NodeId source =
-        config.random_source
-            ? static_cast<NodeId>(rng.uniform_u64(graph.num_nodes()))
-            : 0;
-    runs[static_cast<std::size_t>(trial)] =
-        engine.run(*protocol, source, config.limits, observers);
-    slots[static_cast<std::size_t>(trial)] = std::move(observers);
-  });
-
-  ObservedOutcome<Obs> observed;
-  observed.outcome = detail::reduce_runs(std::move(runs));
-  observed.observers.reserve(trials);
-  for (std::optional<Obs>& slot : slots)
-    observed.observers.push_back(std::move(*slot));
-  return observed;
+  return detail::sweep(graph_factory,
+                       detail::FactorySource{protocol_factory, config.channel},
+                       detail::plan_for(config), make_observer);
 }
 
-/// Observer-aware broadcast_trials: the facade sweep with a per-trial
-/// observer. Same draw order as the bare overload; the scheme's protocol
-/// is statically dispatched per trial exactly as there.
+/// Observer-aware broadcast_trials, on a fixed graph or a per-trial
+/// GraphFactory: the bare overload's draws with a per-trial observer.
 template <typename MakeObserver,
           MetricObserver Obs =
               std::invoke_result_t<const MakeObserver&, const Graph&>>
 [[nodiscard]] ObservedOutcome<Obs> broadcast_trials(
     const Graph& graph, const BroadcastOptions& options,
     const MakeObserver& make_observer, NodeId source = kNoNode) {
-  RRB_REQUIRE(options.trials >= 1, "need at least one trial");
-  RRB_REQUIRE(source == kNoNode || source < graph.num_nodes(),
-              "source out of range");
-  RunLimits limits;
-  limits.max_rounds = options.max_rounds;
-  limits.record_rounds = options.record_rounds;
+  return detail::sweep(graph, options, detail::plan_for(options, source),
+                       make_observer);
+}
 
-  const auto trials = static_cast<std::size_t>(options.trials);
-  std::vector<RunResult> runs(trials);
-  std::vector<std::optional<Obs>> slots(trials);
-
-  ParallelRunner runner(options.runner);
-  if (const int batch = options.runner.batch; batch >= 1) {
-    // Batched: groups of `batch` trials advance in lockstep over the
-    // shared graph. Same per-trial streams and draw order as below, so
-    // runs and observers come out bit-identical (per-trial slots keep the
-    // reduction in trial order either way).
-    const int groups = (options.trials + batch - 1) / batch;
-    runner.for_each_trial(groups, [&](int group) {
-      const int begin = group * batch;
-      const int end = std::min(options.trials, begin + batch);
-      const auto lanes = static_cast<std::size_t>(end - begin);
-      with_scheme(
-          graph, options, [&](auto proto, const ChannelConfig& channel) {
-            using Proto = decltype(proto);
-            std::vector<Proto> protos(lanes, proto);
-            std::vector<Proto*> proto_ptrs(lanes);
-            std::vector<Obs> lane_obs;
-            lane_obs.reserve(lanes);
-            for (std::size_t b = 0; b < lanes; ++b) {
-              proto_ptrs[b] = &protos[b];
-              lane_obs.push_back(make_observer(graph));
-            }
-            std::vector<RunResult> lane_runs(lanes);
-            detail::run_batched_lanes(
-                graph, channel, limits,
-                std::span<Proto* const>(proto_ptrs), options.seed, begin,
-                source, std::span<Obs>(lane_obs),
-                std::span<RunResult>(lane_runs));
-            for (std::size_t b = 0; b < lanes; ++b) {
-              runs[static_cast<std::size_t>(begin) + b] =
-                  std::move(lane_runs[b]);
-              slots[static_cast<std::size_t>(begin) + b] =
-                  std::move(lane_obs[b]);
-            }
-          });
-    });
-  } else {
-    runner.for_each_trial(options.trials, [&](int trial) {
-      Rng rng = Rng(options.seed).fork(static_cast<std::uint64_t>(trial));
-      Obs observers = make_observer(graph);
-      runs[static_cast<std::size_t>(trial)] = with_scheme(
-          graph, options, [&](auto proto, const ChannelConfig& channel) {
-            GraphTopology topo(graph);
-            PhoneCallEngine<GraphTopology> engine(topo, channel, rng);
-            const NodeId from =
-                source != kNoNode
-                    ? source
-                    : static_cast<NodeId>(rng.uniform_u64(graph.num_nodes()));
-            return engine.run(proto, from, limits, observers);
-          });
-      slots[static_cast<std::size_t>(trial)] = std::move(observers);
-    });
-  }
-
-  ObservedOutcome<Obs> observed;
-  observed.outcome = detail::reduce_runs(std::move(runs));
-  observed.observers.reserve(trials);
-  for (std::optional<Obs>& slot : slots)
-    observed.observers.push_back(std::move(*slot));
-  return observed;
+template <typename MakeObserver,
+          MetricObserver Obs =
+              std::invoke_result_t<const MakeObserver&, const Graph&>>
+[[nodiscard]] ObservedOutcome<Obs> broadcast_trials(
+    const GraphFactory& graph_factory, const BroadcastOptions& options,
+    const MakeObserver& make_observer, NodeId source = kNoNode) {
+  return detail::sweep(graph_factory, options,
+                       detail::plan_for(options, source), make_observer);
 }
 
 }  // namespace rrb

@@ -46,9 +46,7 @@ int ParallelRunner::resolve_threads(const RunnerConfig& config) {
 int ParallelRunner::resolved_chunk(int trials) const {
   if (config_.chunk > 0) return config_.chunk;
   // Bounded default: ~4 chunks per worker keeps dynamic load balancing
-  // effective while the partial-reduction slots callers allocate per chunk
-  // stay O(threads). (A per-trial default here once made a 10^6-trial
-  // sweep build a million Partials — see tests/test_runner.cpp.)
+  // effective with few claims on the shared counter.
   const long long slots = 4LL * resolve_threads(config_);
   const long long chunk = (static_cast<long long>(trials) + slots - 1) / slots;
   return static_cast<int>(std::max(1LL, chunk));

@@ -1,119 +1,86 @@
 #include "rrb/sim/trace.hpp"
 
-#include <algorithm>
+#include <memory>
 
-#include "rrb/common/check.hpp"
 #include "rrb/metrics/observers.hpp"
 #include "rrb/phonecall/edge_ids.hpp"
-#include "rrb/sim/runner.hpp"
 
 namespace rrb {
 
 namespace {
 
-/// One trial's raw per-round values (not yet averaged). A pure function of
-/// (config, trial index): all randomness comes from Rng(seed).fork(trial).
-///
-/// Measurement is entirely observer-side (rrb/metrics/observers.hpp): the
-/// engine runs with an ObserverSet of SetSizeObserver (always), HSetObserver
-/// and EdgeUsageObserver (each disabled via null topology pointers when the
-/// config does not ask for it), and the observers' per-round series are
-/// zipped into SetTracePoints afterwards. Observers draw no randomness, so
-/// the trial's draw sequence — and therefore every traced value — is
-/// bit-identical to the pre-observer engine path (pinned in
-/// tests/test_metrics.cpp, TraceGolden).
-std::vector<SetTracePoint> trace_one_trial(
-    const TraceGraphFactory& graph_factory,
-    const TraceProtocolFactory& protocol_factory, const TraceConfig& config,
-    int trial) {
-  Rng rng = Rng(config.seed).fork(static_cast<std::uint64_t>(trial));
-  const Graph graph = graph_factory(rng);
-  auto protocol = protocol_factory(graph);
+/// Owns a trial's edge-id map on the heap, so the EdgeUsageObserver's raw
+/// pointer into it survives every move of the observer set.
+struct EdgeIdsOwner {
+  std::unique_ptr<const EdgeIdMap> map;
+  [[nodiscard]] const char* name() const { return "edge-ids"; }
+};
 
-  GraphTopology topo(graph);
-  PhoneCallEngine<GraphTopology> engine(topo, config.channel, rng);
-
-  EdgeIdMap edge_ids;
-  if (config.track_edge_usage) edge_ids = build_edge_id_map(graph);
-
-  ObserverSet observers(
-      SetSizeObserver{},
-      HSetObserver(config.track_h_sets ? &graph : nullptr),
-      EdgeUsageObserver(config.track_edge_usage ? &graph : nullptr,
-                        config.track_edge_usage ? &edge_ids : nullptr,
-                        /*record_per_round=*/true));
-
-  const NodeId source =
-      static_cast<NodeId>(rng.uniform_u64(graph.num_nodes()));
-  (void)engine.run(*protocol, source, config.limits, observers);
-
-  const auto& sizes = observers.get<SetSizeObserver>().points();
-  const auto& hsets = observers.get<HSetObserver>().points();
-  const auto& unused =
-      observers.get<EdgeUsageObserver>().unused_edge_nodes_per_round();
-
-  std::vector<SetTracePoint> local(sizes.size());
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    SetTracePoint& point = local[i];
-    point.t = sizes[i].t;
-    point.informed = static_cast<double>(sizes[i].informed);
-    point.newly_informed = static_cast<double>(sizes[i].newly_informed);
-    point.uninformed = static_cast<double>(sizes[i].uninformed);
-    if (config.track_h_sets) {
-      point.h1 = static_cast<double>(hsets[i].h1);
-      point.h4 = static_cast<double>(hsets[i].h4);
-      point.h5 = static_cast<double>(hsets[i].h5);
-    }
-    if (config.track_edge_usage)
-      point.unused_edge_nodes = static_cast<double>(unused[i]);
-  }
-  return local;
-}
+using TraceObservers =
+    ObserverSet<SetSizeObserver, HSetObserver, EdgeUsageObserver, EdgeIdsOwner>;
 
 }  // namespace
 
 std::vector<SetTracePoint> trace_set_sizes(
-    const TraceGraphFactory& graph_factory,
-    const TraceProtocolFactory& protocol_factory, const TraceConfig& config) {
-  RRB_REQUIRE(config.trials >= 1, "need at least one trial");
+    const GraphFactory& graph_factory,
+    const ProtocolFactory& protocol_factory, const TraceConfig& config) {
+  TrialConfig trial_config;
+  trial_config.trials = config.trials;
+  trial_config.seed = config.seed;
+  trial_config.channel = config.channel;
+  trial_config.limits = config.limits;
+  trial_config.runner = config.runner;
 
-  // Each trial fills its own slot; threads never touch shared state.
-  std::vector<std::vector<SetTracePoint>> per_trial(
-      static_cast<std::size_t>(config.trials));
-  ParallelRunner runner(config.runner);
-  runner.for_each_trial(config.trials, [&](int trial) {
-    per_trial[static_cast<std::size_t>(trial)] =
-        trace_one_trial(graph_factory, protocol_factory, config, trial);
-  });
+  // HSetObserver and EdgeUsageObserver are disabled by null topology
+  // pointers when the config does not ask for them.
+  const auto observed = run_trials(
+      graph_factory, protocol_factory, trial_config,
+      [&config](const Graph& graph) {
+        std::unique_ptr<const EdgeIdMap> edge_ids;
+        if (config.track_edge_usage)
+          edge_ids = std::make_unique<const EdgeIdMap>(build_edge_id_map(graph));
+        const EdgeIdMap* ids = edge_ids.get();
+        return TraceObservers(
+            SetSizeObserver{},
+            HSetObserver(config.track_h_sets ? &graph : nullptr),
+            EdgeUsageObserver(ids != nullptr ? &graph : nullptr, ids,
+                              /*record_per_round=*/true),
+            EdgeIdsOwner{std::move(edge_ids)});
+      });
 
   // Sum in trial order — the same float addition order as a sequential
   // run, so the averaged trace is byte-identical for any thread count.
   std::vector<SetTracePoint> trace;
-  std::vector<int> contributions;  // trials contributing to each round
-  for (const std::vector<SetTracePoint>& local : per_trial) {
-    if (trace.size() < local.size()) {
-      trace.resize(local.size());
-      contributions.resize(local.size(), 0);
+  std::vector<int> contributions;  // trials that ran each round
+  for (const TraceObservers& observers : observed.observers) {
+    const auto& sizes = observers.get<SetSizeObserver>().points();
+    const auto& hsets = observers.get<HSetObserver>().points();
+    const auto& unused =
+        observers.get<EdgeUsageObserver>().unused_edge_nodes_per_round();
+    if (trace.size() < sizes.size()) {
+      trace.resize(sizes.size());
+      contributions.resize(sizes.size(), 0);
     }
-    for (std::size_t i = 0; i < local.size(); ++i) {
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
       SetTracePoint& point = trace[i];
-      point.t = local[i].t;
-      point.informed += local[i].informed;
-      point.newly_informed += local[i].newly_informed;
-      point.uninformed += local[i].uninformed;
-      point.h1 += local[i].h1;
-      point.h4 += local[i].h4;
-      point.h5 += local[i].h5;
-      point.unused_edge_nodes += local[i].unused_edge_nodes;
+      point.t = sizes[i].t;
+      point.informed += static_cast<double>(sizes[i].informed);
+      point.newly_informed += static_cast<double>(sizes[i].newly_informed);
+      point.uninformed += static_cast<double>(sizes[i].uninformed);
+      if (config.track_h_sets) {
+        point.h1 += static_cast<double>(hsets[i].h1);
+        point.h4 += static_cast<double>(hsets[i].h4);
+        point.h5 += static_cast<double>(hsets[i].h5);
+      }
+      if (config.track_edge_usage)
+        point.unused_edge_nodes += static_cast<double>(unused[i]);
       ++contributions[i];
     }
   }
 
   for (std::size_t i = 0; i < trace.size(); ++i) {
     SetTracePoint& point = trace[i];
-    const double scale =
-        contributions[i] > 0 ? 1.0 / static_cast<double>(contributions[i])
-                             : 1.0;
+    const double scale = 1.0 / static_cast<double>(contributions[i]);
     point.informed *= scale;
     point.newly_informed *= scale;
     point.uninformed *= scale;

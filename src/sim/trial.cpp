@@ -1,52 +1,14 @@
 #include "rrb/sim/trial.hpp"
 
-#include <algorithm>
-
-#include "rrb/common/check.hpp"
-#include "rrb/core/scheme_dispatch.hpp"
-#include "rrb/sim/runner.hpp"
-
 namespace rrb {
 
-namespace {
+namespace detail {
 
-/// One trial, a pure function of (config, trial index): all randomness
-/// comes from Rng(seed).fork(trial), per the seeding contract.
-RunResult run_one_trial(const GraphFactory& graph_factory,
-                        const ProtocolFactory& protocol_factory,
-                        const TrialConfig& config, int trial) {
-  Rng rng = Rng(config.seed).fork(static_cast<std::uint64_t>(trial));
-  const Graph graph = graph_factory(rng);
-  RRB_REQUIRE(graph.num_nodes() >= 2, "trial graph too small");
-
-  auto protocol = protocol_factory(graph);
-  RRB_REQUIRE(protocol != nullptr, "protocol factory returned null");
-
-  GraphTopology topo(graph);
-  PhoneCallEngine<GraphTopology> engine(topo, config.channel, rng);
-  const NodeId source =
-      config.random_source
-          ? static_cast<NodeId>(rng.uniform_u64(graph.num_nodes()))
-          : 0;
-  return engine.run(*protocol, source, config.limits);
-}
-
-/// Per-chunk partial reduction. Workers fill one Partials each (trials in
-/// ascending order within the chunk); merging the chunks in chunk order
-/// then replays the exact sequential sample order, so the resulting
-/// Summaries are byte-identical whatever the schedule was.
-struct Partials {
-  std::vector<RunResult> runs;
-  SummaryAccumulator rounds;
-  SummaryAccumulator completion;
-  SummaryAccumulator total_tx;
-  SummaryAccumulator tx_per_node;
-  SummaryAccumulator push_tx;
-  SummaryAccumulator pull_tx;
-  SummaryAccumulator coverage;
+TrialOutcome reduce_runs(std::vector<RunResult>&& runs) {
+  SummaryAccumulator rounds, completion, total_tx, tx_per_node, push_tx,
+      pull_tx, coverage;
   int completed = 0;
-
-  void add(RunResult&& run) {
+  for (const RunResult& run : runs) {
     rounds.add(static_cast<double>(run.rounds));
     total_tx.add(static_cast<double>(run.total_tx()));
     tx_per_node.add(run.tx_per_node());
@@ -59,66 +21,31 @@ struct Partials {
       ++completed;
       completion.add(static_cast<double>(run.completion_round));
     }
-    runs.push_back(std::move(run));
   }
-
-  void merge(Partials&& other) {
-    runs.insert(runs.end(), std::make_move_iterator(other.runs.begin()),
-                std::make_move_iterator(other.runs.end()));
-    rounds.merge(other.rounds);
-    completion.merge(other.completion);
-    total_tx.merge(other.total_tx);
-    tx_per_node.merge(other.tx_per_node);
-    push_tx.merge(other.push_tx);
-    pull_tx.merge(other.pull_tx);
-    coverage.merge(other.coverage);
-    completed += other.completed;
-  }
-
-  [[nodiscard]] TrialOutcome finish(int trials) && {
-    TrialOutcome outcome;
-    outcome.runs = std::move(runs);
-    outcome.rounds = rounds.finish();
-    outcome.completion_round = completion.finish();
-    outcome.total_tx = total_tx.finish();
-    outcome.tx_per_node = tx_per_node.finish();
-    outcome.push_tx = push_tx.finish();
-    outcome.pull_tx = pull_tx.finish();
-    outcome.coverage = coverage.finish();
-    outcome.completion_rate =
-        static_cast<double>(completed) / static_cast<double>(trials);
-    return outcome;
-  }
-};
-
-/// Shared driver: run `trial_body(trial)` for every trial on the pool and
-/// reduce in trial order.
-template <typename TrialBody>
-TrialOutcome reduce_trials(int trials, const RunnerConfig& runner_config,
-                           const TrialBody& trial_body) {
-  ParallelRunner runner(runner_config);
-  std::vector<Partials> partials(
-      static_cast<std::size_t>(runner.num_chunks(trials)));
-  runner.for_each_chunk(trials, [&](int index, int begin, int end) {
-    Partials& chunk = partials[static_cast<std::size_t>(index)];
-    for (int trial = begin; trial < end; ++trial)
-      chunk.add(trial_body(trial));
-  });
-
-  Partials all;
-  for (Partials& chunk : partials) all.merge(std::move(chunk));
-  return std::move(all).finish(trials);
+  TrialOutcome outcome;
+  outcome.rounds = rounds.finish();
+  outcome.completion_round = completion.finish();
+  outcome.total_tx = total_tx.finish();
+  outcome.tx_per_node = tx_per_node.finish();
+  outcome.push_tx = push_tx.finish();
+  outcome.pull_tx = pull_tx.finish();
+  outcome.coverage = coverage.finish();
+  outcome.completion_rate =
+      static_cast<double>(completed) / static_cast<double>(runs.size());
+  outcome.runs = std::move(runs);
+  return outcome;
 }
 
-}  // namespace
+SweepPlan plan_for(const TrialConfig& config) {
+  return {config.trials, config.seed, config.limits,
+          config.random_source ? kNoNode : 0, config.runner};
+}
 
-namespace detail {
-
-TrialOutcome reduce_runs(std::vector<RunResult>&& runs) {
-  Partials all;
-  const int trials = static_cast<int>(runs.size());
-  for (RunResult& run : runs) all.add(std::move(run));
-  return std::move(all).finish(trials);
+SweepPlan plan_for(const BroadcastOptions& options, NodeId source) {
+  RunLimits limits;
+  limits.max_rounds = options.max_rounds;
+  limits.record_rounds = options.record_rounds;
+  return {options.trials, options.seed, limits, source, options.runner};
 }
 
 }  // namespace detail
@@ -126,118 +53,32 @@ TrialOutcome reduce_runs(std::vector<RunResult>&& runs) {
 TrialOutcome run_trials(const GraphFactory& graph_factory,
                         const ProtocolFactory& protocol_factory,
                         const TrialConfig& config) {
-  RRB_REQUIRE(config.trials >= 1, "need at least one trial");
-  return reduce_trials(config.trials, config.runner, [&](int trial) {
-    return run_one_trial(graph_factory, protocol_factory, config, trial);
-  });
+  return detail::sweep(graph_factory,
+                       detail::FactorySource{protocol_factory, config.channel},
+                       detail::plan_for(config))
+      .outcome;
 }
 
 TrialOutcome run_trials(const Graph& graph,
                         const ProtocolFactory& protocol_factory,
                         const TrialConfig& config) {
-  RRB_REQUIRE(config.trials >= 1, "need at least one trial");
-  RRB_REQUIRE(graph.num_nodes() >= 2, "trial graph too small");
-  const NodeId fixed_source = config.random_source ? kNoNode : 0;
-
-  if (const int batch = config.runner.batch; batch >= 1) {
-    // Batched: advance `batch` trials in lockstep per engine call. Lane
-    // streams and draw order match the sequential branch below exactly,
-    // so the outcome is bit-identical (tests/test_batched_engine.cpp).
-    const int trials = config.trials;
-    const int groups = (trials + batch - 1) / batch;
-    std::vector<RunResult> runs(static_cast<std::size_t>(trials));
-    ParallelRunner runner(config.runner);
-    runner.for_each_trial(groups, [&](int group) {
-      const int begin = group * batch;
-      const int end = std::min(trials, begin + batch);
-      const auto lanes = static_cast<std::size_t>(end - begin);
-      std::vector<std::unique_ptr<BroadcastProtocol>> protos(lanes);
-      std::vector<BroadcastProtocol*> proto_ptrs(lanes);
-      for (std::size_t b = 0; b < lanes; ++b) {
-        protos[b] = protocol_factory(graph);
-        RRB_REQUIRE(protos[b] != nullptr, "protocol factory returned null");
-        proto_ptrs[b] = protos[b].get();
-      }
-      std::vector<detail::NoMetrics> none(lanes);
-      detail::run_batched_lanes(
-          graph, config.channel, config.limits,
-          std::span<BroadcastProtocol* const>(proto_ptrs), config.seed,
-          begin, fixed_source, std::span<detail::NoMetrics>(none),
-          std::span<RunResult>(runs).subspan(
-              static_cast<std::size_t>(begin), lanes));
-    });
-    return detail::reduce_runs(std::move(runs));
-  }
-
-  return reduce_trials(config.trials, config.runner, [&](int trial) {
-    Rng rng = Rng(config.seed).fork(static_cast<std::uint64_t>(trial));
-    auto protocol = protocol_factory(graph);
-    RRB_REQUIRE(protocol != nullptr, "protocol factory returned null");
-    GraphTopology topo(graph);
-    PhoneCallEngine<GraphTopology> engine(topo, config.channel, rng);
-    const NodeId source =
-        fixed_source != kNoNode
-            ? fixed_source
-            : static_cast<NodeId>(rng.uniform_u64(graph.num_nodes()));
-    return engine.run(*protocol, source, config.limits);
-  });
+  return detail::sweep(graph,
+                       detail::FactorySource{protocol_factory, config.channel},
+                       detail::plan_for(config))
+      .outcome;
 }
 
 TrialOutcome broadcast_trials(const Graph& graph,
                               const BroadcastOptions& options, NodeId source) {
-  RRB_REQUIRE(options.trials >= 1, "need at least one trial");
-  RRB_REQUIRE(source == kNoNode || source < graph.num_nodes(),
-              "source out of range");
-  RunLimits limits;
-  limits.max_rounds = options.max_rounds;
-  limits.record_rounds = options.record_rounds;
+  return detail::sweep(graph, options, detail::plan_for(options, source))
+      .outcome;
+}
 
-  if (const int batch = options.runner.batch; batch >= 1) {
-    // Batched: lockstep lanes over the shared graph, one engine call per
-    // group of `batch` trials. Streams and draw order match the
-    // sequential branch below, so the outcome is bit-identical.
-    const int trials = options.trials;
-    const int groups = (trials + batch - 1) / batch;
-    std::vector<RunResult> runs(static_cast<std::size_t>(trials));
-    ParallelRunner runner(options.runner);
-    runner.for_each_trial(groups, [&](int group) {
-      const int begin = group * batch;
-      const int end = std::min(trials, begin + batch);
-      const auto lanes = static_cast<std::size_t>(end - begin);
-      with_scheme(
-          graph, options, [&](auto proto, const ChannelConfig& channel) {
-            using Proto = decltype(proto);
-            std::vector<Proto> protos(lanes, proto);
-            std::vector<Proto*> proto_ptrs(lanes);
-            for (std::size_t b = 0; b < lanes; ++b)
-              proto_ptrs[b] = &protos[b];
-            std::vector<detail::NoMetrics> none(lanes);
-            detail::run_batched_lanes(
-                graph, channel, limits,
-                std::span<Proto* const>(proto_ptrs), options.seed, begin,
-                source, std::span<detail::NoMetrics>(none),
-                std::span<RunResult>(runs).subspan(
-                    static_cast<std::size_t>(begin), lanes));
-          });
-    });
-    return detail::reduce_runs(std::move(runs));
-  }
-
-  return reduce_trials(options.trials, options.runner, [&](int trial) {
-    Rng rng = Rng(options.seed).fork(static_cast<std::uint64_t>(trial));
-    // Statically dispatched per scheme: each worker drives the engine with
-    // the concrete protocol type, not through the virtual adapter.
-    return with_scheme(
-        graph, options, [&](auto proto, const ChannelConfig& channel) {
-          GraphTopology topo(graph);
-          PhoneCallEngine<GraphTopology> engine(topo, channel, rng);
-          const NodeId from =
-              source != kNoNode
-                  ? source
-                  : static_cast<NodeId>(rng.uniform_u64(graph.num_nodes()));
-          return engine.run(proto, from, limits);
-        });
-  });
+TrialOutcome broadcast_trials(const GraphFactory& graph_factory,
+                              const BroadcastOptions& options, NodeId source) {
+  return detail::sweep(graph_factory, options,
+                       detail::plan_for(options, source))
+      .outcome;
 }
 
 }  // namespace rrb

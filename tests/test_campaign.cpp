@@ -8,7 +8,9 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
+#include "rrb/core/scheme_dispatch.hpp"
 #include "rrb/exp/spec.hpp"
 #include "rrb/graph/generators.hpp"
 #include "rrb/rng/rng.hpp"
@@ -389,32 +391,65 @@ TEST(CampaignExpand, NewFamiliesValidateTheirConstraints) {
 // ---- run_cell: the execution paths are the library's own -------------------
 
 TEST(CampaignRunCell, StaticCellMatchesDirectRunTrials) {
-  const CampaignSpec spec = tiny_spec();
-  const auto cells = expand_cells(spec);
-  const CampaignCell& cell = cells[0];  // push, churn 0
-  const JsonObject record = CampaignRunner::run_cell(spec, cell, {});
+  // Static cells dispatch each scheme statically on every trial's own
+  // graph; the reference is the type-erased adapter (make_scheme per trial
+  // graph) through run_trials. On gnp the min and mean degree vary per
+  // trial, so a protocol keyed on the cell's nominal degree would diverge
+  // for the degree-keyed schemes (throttled, four-choice, fixed horizon).
+  for (const GraphFamily family : {GraphFamily::kRegular, GraphFamily::kGnp}) {
+    CampaignSpec spec;
+    spec.seed = 0x57a71c;
+    spec.trials = 3;
+    spec.max_rounds = 300;  // push/pull never finish past an isolated node
+    spec.graph = family;
+    spec.schemes.assign(kAllSchemes.begin(), kAllSchemes.end());
+    spec.n_values = {128};
+    spec.d_values = {6};
+    for (const CampaignCell& cell : expand_cells(spec)) {
+      SCOPED_TRACE(cell.key);
+      const JsonObject record = CampaignRunner::run_cell(spec, cell, {});
 
-  BroadcastOptions options;
-  options.scheme = BroadcastScheme::kPush;
-  options.n_estimate = cell.n;
-  TrialConfig config;
-  config.trials = spec.trials;
-  config.seed = cell.seed;
-  const TrialOutcome direct = run_trials(
-      [&cell](Rng& rng) {
-        return random_regular_simple(cell.n, cell.d, rng);
-      },
-      [&options](const Graph& graph) {
-        return make_scheme(graph, options).protocol;
-      },
-      config);
+      BroadcastOptions options;
+      options.scheme = cell.scheme;
+      options.n_estimate = cell.n;
+      options.alpha = cell.alpha;
+      TrialConfig config;
+      config.trials = spec.trials;
+      config.seed = cell.seed;
+      config.limits.max_rounds = spec.max_rounds;
+      config.channel = with_scheme(
+          SchemeShape{cell.n, cell.d, 0.0}, options,
+          [](auto, const ChannelConfig& channel) { return channel; });
+      const NodeId n = cell.n;
+      const NodeId d = cell.d;
+      const TrialOutcome direct = run_trials(
+          [family, n, d](Rng& rng) {
+            return family == GraphFamily::kRegular
+                       ? random_regular_simple(n, d, rng)
+                       : gnp(n, static_cast<double>(d) / (n - 1), rng);
+          },
+          [&options](const Graph& graph) {
+            return make_scheme(graph, options).protocol;
+          },
+          config);
 
-  EXPECT_EQ(record.find_number("rounds_mean"), direct.rounds.mean);
-  EXPECT_EQ(record.find_number("completion_mean"),
-            direct.completion_round.mean);
-  EXPECT_EQ(record.find_number("completion_rate"), direct.completion_rate);
-  EXPECT_EQ(record.find_number("tx_per_node_mean"), direct.tx_per_node.mean);
-  EXPECT_EQ(record.find_number("push_tx_mean"), direct.push_tx.mean);
+      const std::pair<const char*, double> columns[] = {
+          {"rounds_mean", direct.rounds.mean},
+          {"rounds_min", direct.rounds.min},
+          {"rounds_max", direct.rounds.max},
+          {"completion_mean", direct.completion_round.mean},
+          {"completion_rate", direct.completion_rate},
+          {"coverage_mean", direct.coverage.mean},
+          {"tx_per_node_mean", direct.tx_per_node.mean},
+          {"tx_per_node_max", direct.tx_per_node.max},
+          {"total_tx_mean", direct.total_tx.mean},
+          {"push_tx_mean", direct.push_tx.mean},
+          {"pull_tx_mean", direct.pull_tx.mean},
+      };
+      for (const auto& [column, expected] : columns)
+        EXPECT_EQ(record.find_number(column), expected) << column;
+    }
+  }
 }
 
 TEST(CampaignRunCell, RecordIsIdenticalForAnyTrialRunnerConfig) {

@@ -42,10 +42,9 @@ TEST(Runner, ChunkBoundsPartitionTrials) {
 }
 
 TEST(Runner, DefaultChunkIsBoundedByWorkerCount) {
-  // Regression: the default chunk was once 1 trial per task, so callers
-  // allocating one partial-reduction slot per chunk (reduce_trials) built
-  // a million slots for a million-trial sweep. The default now targets
-  // ~4 chunks per worker, independent of the trial count.
+  // The default chunk targets ~4 chunks per worker, independent of the
+  // trial count, so a million-trial sweep is not a million scheduling
+  // tasks.
   RunnerConfig cfg;
   cfg.threads = 4;
   ParallelRunner runner(cfg);

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "rrb/graph/generators.hpp"
+#include "rrb/metrics/observers.hpp"
 #include "rrb/protocols/baselines.hpp"
 #include "rrb/protocols/four_choice.hpp"
+#include "rrb/sim/trial.hpp"
 
 namespace rrb {
 namespace {
@@ -131,6 +136,68 @@ TEST(Trace, RejectsZeroTrials) {
           [](const Graph&) { return make_protocol<PushProtocol>(); },
           cfg),
       std::logic_error);
+}
+
+TEST(Trace, RejectsNullProtocol) {
+  EXPECT_THROW(
+      (void)trace_set_sizes(
+          [](Rng& rng) { return random_regular_simple(64, 4, rng); },
+          [](const Graph&) { return std::unique_ptr<BroadcastProtocol>(); },
+          quick_config()),
+      std::logic_error);
+}
+
+TEST(Trace, RejectsGraphsBelowTwoNodes) {
+  EXPECT_THROW(
+      (void)trace_set_sizes(
+          [](Rng&) { return Graph::from_edges(1, {}); },
+          [](const Graph&) { return make_protocol<PushProtocol>(); },
+          quick_config()),
+      std::logic_error);
+}
+
+TEST(Trace, EachRoundAveragesOnlyTheTrialsStillRunning) {
+  // Push trials end at different rounds; round t of the trace must be the
+  // mean over the trials that ran >= t rounds of their own set sizes — the
+  // SetSizeObserver series of the observed run_trials on the same streams.
+  const NodeId n = 256;
+  const GraphFactory graphs = [n](Rng& rng) {
+    return random_regular_simple(n, 4, rng);
+  };
+  const ProtocolFactory push = [](const Graph&) {
+    return make_protocol<PushProtocol>();
+  };
+  TraceConfig cfg = quick_config();
+  cfg.trials = 6;
+  cfg.track_h_sets = false;
+  const auto trace = trace_set_sizes(graphs, push, cfg);
+
+  TrialConfig trial_cfg;
+  trial_cfg.trials = cfg.trials;
+  trial_cfg.seed = cfg.seed;
+  const auto observed = run_trials(graphs, push, trial_cfg, [](const Graph&) {
+    return SetSizeObserver{};
+  });
+  std::size_t shortest = trace.size();
+  for (const SetSizeObserver& trial : observed.observers)
+    shortest = std::min(shortest, trial.points().size());
+  ASSERT_LT(shortest, trace.size()) << "trials must end at different rounds";
+
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    double informed = 0.0;
+    double newly = 0.0;
+    int running = 0;
+    for (const SetSizeObserver& trial : observed.observers) {
+      if (i >= trial.points().size()) continue;
+      informed += static_cast<double>(trial.points()[i].informed);
+      newly += static_cast<double>(trial.points()[i].newly_informed);
+      ++running;
+    }
+    ASSERT_GT(running, 0);
+    EXPECT_DOUBLE_EQ(trace[i].informed, informed / running) << "round " << i;
+    EXPECT_DOUBLE_EQ(trace[i].newly_informed, newly / running)
+        << "round " << i;
+  }
 }
 
 }  // namespace

@@ -134,48 +134,6 @@ TEST(Summaries, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(s.mean, 0.0);
 }
 
-TEST(Summaries, AccumulatorMergeIsAssociative) {
-  // merge() is how per-worker accumulators combine; associativity (plus
-  // merging in chunk order) is what makes the parallel reduction
-  // deterministic. Values chosen so any reordering or double-count would
-  // change the sequence.
-  SummaryAccumulator a;
-  a.add(1.0);
-  a.add(2.0);
-  SummaryAccumulator b;
-  b.add(3.0);
-  SummaryAccumulator c;
-  c.add(4.0);
-  c.add(5.0);
-
-  SummaryAccumulator left_first = a;   // (a ⊕ b) ⊕ c
-  left_first.merge(b);
-  left_first.merge(c);
-
-  SummaryAccumulator right_first = a;  // a ⊕ (b ⊕ c)
-  SummaryAccumulator bc = b;
-  bc.merge(c);
-  right_first.merge(bc);
-
-  const std::vector<double> expected{1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_EQ(left_first.values(), expected);
-  EXPECT_EQ(right_first.values(), expected);
-  EXPECT_DOUBLE_EQ(left_first.finish().mean, right_first.finish().mean);
-  EXPECT_DOUBLE_EQ(left_first.finish().median, 3.0);
-}
-
-TEST(Summaries, AccumulatorMergeWithEmptySides) {
-  SummaryAccumulator empty;
-  SummaryAccumulator filled;
-  filled.add(7.0);
-  SummaryAccumulator left = empty;
-  left.merge(filled);
-  EXPECT_EQ(left.values(), std::vector<double>{7.0});
-  SummaryAccumulator right = filled;
-  right.merge(empty);
-  EXPECT_EQ(right.values(), std::vector<double>{7.0});
-}
-
 TEST(Trials, RunnerConfigPropagatesWithoutChangingResults) {
   TrialConfig sequential = quick_config(6);
   sequential.runner.threads = 1;
