@@ -15,9 +15,11 @@
 ///  - whole broadcast_trials sweeps per scheme at batch 0 / 4 / 32: one
 ///    row for every rung of the batched engine's kernel ladder (classic,
 ///    bitmask, sequential fallback) against the plain sequential driver;
-///  - configuration-model generation and the sampler primitive.
+///  - generator throughput: configuration_model and random_regular_simple
+///    from sparse (d = 8) to near-complete (n = 130, d = 128) rows.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -81,6 +83,76 @@ void report(bench::BenchReport& json, const std::string& name,
       .set("rounds_per_sec", rounds_per_sec)
       .set("node_rounds_per_sec", node_rounds_per_sec)
       .set("tx", t.tx);
+}
+
+/// Generator throughput in nodes/s (the "generators" phase). Each rep
+/// draws graphs from the row's seed stream until kRepMs of wall time has
+/// passed (at least one graph); a row reports the median of kReps reps
+/// with min and max. Both generators make a fixed sequence of draws per
+/// graph, so every capture of a row generates the same graphs.
+void bench_generators(bench::BenchReport& json) {
+  const bench::Phase phase(json, "generators");
+  constexpr int kReps = 5;
+  constexpr double kRepMs = 200.0;
+  using Generator = Graph (*)(NodeId, NodeId, Rng&);
+  struct GenRow {
+    const char* generator;
+    Generator generate;
+    NodeId n;
+    NodeId d;
+  };
+  const GenRow gen_rows[] = {
+      {"configuration_model", configuration_model, 1U << 14, 8},
+      {"configuration_model", configuration_model, 1U << 17, 8},
+      {"random_regular_simple", random_regular_simple, 1U << 14, 8},
+      {"random_regular_simple", random_regular_simple, 1U << 17, 8},
+      {"random_regular_simple", random_regular_simple, 1U << 17, 34},
+      {"random_regular_simple", random_regular_simple, 130, 128},
+  };
+  for (const GenRow& row : gen_rows) {
+    Rng rng(13);
+    std::vector<double> rates;
+    double total_ms = 0.0;
+    int graphs = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto start = Clock::now();
+      int iters = 0;
+      double ms = 0.0;
+      do {
+        const Graph graph = row.generate(row.n, row.d, rng);
+        ++iters;
+        ms = std::chrono::duration<double, std::milli>(Clock::now() -
+                                                       start)
+                 .count();
+      } while (ms < kRepMs);
+      total_ms += ms;
+      graphs += iters;
+      rates.push_back(static_cast<double>(iters) *
+                      static_cast<double>(row.n) / (ms / 1000.0));
+    }
+    std::sort(rates.begin(), rates.end());
+    const double median = rates[rates.size() / 2];
+    const std::string name =
+        std::string("gen/") + row.generator + "/" +
+        (std::has_single_bit(row.n)
+             ? "2^" + std::to_string(std::countr_zero(row.n))
+             : std::to_string(row.n)) +
+        "/d" + std::to_string(row.d);
+    std::printf("%-40s %5d graphs %9.2f ms  %12.4g nodes/s  "
+                "[%.4g, %.4g]\n",
+                name.c_str(), graphs, total_ms, median, rates.front(),
+                rates.back());
+    json.row()
+        .set("name", name)
+        .set("n", static_cast<std::uint64_t>(row.n))
+        .set("d", static_cast<std::uint64_t>(row.d))
+        .set("reps", kReps)
+        .set("graphs", graphs)
+        .set("wall_ms", total_ms)
+        .set("nodes_per_sec", median)
+        .set("nodes_per_sec_min", rates.front())
+        .set("nodes_per_sec_max", rates.back());
+  }
 }
 
 void run_all() {
@@ -236,36 +308,7 @@ void run_all() {
     }
   }
 
-  {
-    const bench::Phase phase(json, "generators");
-    Rng rng(13);
-    const auto start = Clock::now();
-    int iters = 0;
-    Count edges = 0;
-    while (iters < 64) {
-      const Graph cm = configuration_model(n, 8, rng);
-      edges += cm.num_edges();
-      ++iters;
-      if (std::chrono::duration<double, std::milli>(Clock::now() - start)
-              .count() >= 300.0)
-        break;
-    }
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - start)
-            .count();
-    const double nodes_per_sec =
-        static_cast<double>(iters) * static_cast<double>(n) /
-        (wall_ms / 1000.0);
-    std::printf("%-28s %5d iters  %9.2f ms  %12.0f nodes/s\n",
-                "configuration-model", iters, wall_ms, nodes_per_sec);
-    json.row()
-        .set("name", "configuration-model")
-        .set("iters", iters)
-        .set("wall_ms", wall_ms)
-        .set("nodes_per_sec", nodes_per_sec)
-        .set("edges", static_cast<std::uint64_t>(edges));
-  }
-
+  bench_generators(json);
   json.write();
 }
 

@@ -4,17 +4,10 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 namespace rrb {
 
 namespace {
-
-/// Pack an unordered node pair into a 64-bit key (canonical order).
-[[nodiscard]] std::uint64_t pair_key(NodeId a, NodeId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
 
 /// Node counts combine in 64-bit and must land back in the NodeId range
 /// (n <= 2^31, types.hpp) before a GraphBuilder is sized with them.
@@ -24,6 +17,60 @@ namespace {
   return static_cast<NodeId>(n);
 }
 
+/// The configuration model's pairing (§1.2): node v owns stubs
+/// [v·d, v·d + d), the stub list is shuffled, and positions 2k, 2k+1 are
+/// paired. The returned list doubles as the edge list: edge k is
+/// (pairs[2k], pairs[2k+1]).
+[[nodiscard]] std::vector<NodeId> paired_stubs(NodeId n, NodeId d, Rng& rng) {
+  const std::uint64_t num_stubs = static_cast<std::uint64_t>(n) * d;
+  std::vector<NodeId> stubs(num_stubs);
+  for (std::uint64_t s = 0; s < num_stubs; ++s)
+    stubs[s] = static_cast<NodeId>(s / d);
+  rng.shuffle(std::span<NodeId>(stubs));
+  return stubs;
+}
+
+/// Every node of a d-regular pairing owns exactly d stubs, so its neighbour
+/// multiset fits one fixed-width row rows[v·d, v·d + d). Rows come back
+/// sorted — the canonical per-node order of Graph's CSR — with a parallel
+/// edge once per multiplicity and a self-loop twice at its node.
+[[nodiscard]] std::vector<NodeId> sorted_rows(NodeId n, NodeId d,
+                                              std::span<const NodeId> pairs) {
+  std::vector<NodeId> rows(pairs.size());
+  std::vector<std::size_t> cursor(n);
+  for (NodeId v = 0; v < n; ++v) cursor[v] = static_cast<std::size_t>(v) * d;
+  for (std::size_t s = 0; s + 1 < pairs.size(); s += 2) {
+    rows[cursor[pairs[s]]++] = pairs[s + 1];
+    rows[cursor[pairs[s + 1]]++] = pairs[s];
+  }
+  for (std::size_t begin = 0; begin < rows.size(); begin += d)
+    std::sort(rows.begin() + static_cast<std::ptrdiff_t>(begin),
+              rows.begin() + static_cast<std::ptrdiff_t>(begin + d));
+  return rows;
+}
+
+/// Hand sorted fixed-width rows to the CSR as is: offsets are v·d.
+[[nodiscard]] Graph graph_from_rows(NodeId n, NodeId d,
+                                    std::vector<NodeId> rows) {
+  std::vector<Count> offsets(static_cast<std::size_t>(n) + 1);
+  for (std::size_t v = 0; v < offsets.size(); ++v) offsets[v] = v * d;
+  return Graph::from_csr(std::move(offsets), std::move(rows),
+                         CsrValidation::kBasic);
+}
+
+/// Replace one occurrence of `from` in the sorted row [first, last) by
+/// `to`, keeping the row sorted. `from` must be present.
+void replace_sorted(NodeId* first, NodeId* last, NodeId from, NodeId to) {
+  NodeId* p = std::lower_bound(first, last, from);
+  RRB_ASSERT(p != last && *p == from, "switch bookkeeping");
+  if (to > from) {
+    for (; p + 1 != last && p[1] < to; ++p) p[0] = p[1];
+  } else {
+    for (; p != first && p[-1] > to; --p) p[0] = p[-1];
+  }
+  *p = to;
+}
+
 }  // namespace
 
 Graph configuration_model(NodeId n, NodeId d, Rng& rng) {
@@ -31,18 +78,8 @@ Graph configuration_model(NodeId n, NodeId d, Rng& rng) {
   RRB_REQUIRE(d >= 1, "configuration_model: d >= 1");
   RRB_REQUIRE((static_cast<std::uint64_t>(n) * d) % 2 == 0,
               "configuration_model: n*d must be even");
-
-  const std::uint64_t num_stubs = static_cast<std::uint64_t>(n) * d;
-  std::vector<NodeId> stubs(num_stubs);
-  for (std::uint64_t s = 0; s < num_stubs; ++s)
-    stubs[s] = static_cast<NodeId>(s / d);
-  rng.shuffle(std::span<NodeId>(stubs));
-
-  std::vector<Edge> edges;
-  edges.reserve(num_stubs / 2);
-  for (std::uint64_t s = 0; s + 1 < num_stubs; s += 2)
-    edges.push_back(Edge{stubs[s], stubs[s + 1]});
-  return Graph::from_edges(n, edges);
+  const std::vector<NodeId> pairs = paired_stubs(n, d, rng);
+  return graph_from_rows(n, d, sorted_rows(n, d, pairs));
 }
 
 Graph random_regular_simple(NodeId n, NodeId d, Rng& rng) {
@@ -53,78 +90,87 @@ Graph random_regular_simple(NodeId n, NodeId d, Rng& rng) {
   constexpr int kMaxRestarts = 64;
   for (int restart = 0; restart < kMaxRestarts; ++restart) {
     // Draw a configuration-model multigraph, then repair defects by random
-    // edge switches.
-    const std::uint64_t num_stubs = static_cast<std::uint64_t>(n) * d;
-    std::vector<NodeId> stubs(num_stubs);
-    for (std::uint64_t s = 0; s < num_stubs; ++s)
-      stubs[s] = static_cast<NodeId>(s / d);
-    rng.shuffle(std::span<NodeId>(stubs));
-
-    std::vector<Edge> edges(num_stubs / 2);
-    std::unordered_map<std::uint64_t, NodeId> multiplicity;
-    multiplicity.reserve(edges.size() * 2);
-    for (std::uint64_t s = 0; s + 1 < num_stubs; s += 2) {
-      edges[s / 2] = Edge{stubs[s], stubs[s + 1]};
-      ++multiplicity[pair_key(stubs[s], stubs[s + 1])];
-    }
-
-    auto is_defective = [&](const Edge& e) {
-      return e.u == e.v || multiplicity[pair_key(e.u, e.v)] > 1;
+    // edge switches. A switch preserves every degree, so node v's
+    // neighbour multiset stays in its sorted fixed-width row throughout.
+    std::vector<NodeId> pairs = paired_stubs(n, d, rng);
+    std::vector<NodeId> rows = sorted_rows(n, d, pairs);
+    const std::size_t num_edges = pairs.size() / 2;
+    const auto row_begin = [&](NodeId v) {
+      return rows.data() + static_cast<std::size_t>(v) * d;
+    };
+    const auto row_end = [&](NodeId v) { return row_begin(v) + d; };
+    // (u, w) is present iff w is in u's row.
+    const auto adjacent = [&](NodeId u, NodeId w) {
+      return std::binary_search(row_begin(u), row_end(u), w);
+    };
+    // A loop, or a pair present more than once: its first copy in u's row
+    // is followed by another.
+    const auto is_defective = [&](std::size_t i) {
+      const NodeId u = pairs[2 * i];
+      const NodeId w = pairs[2 * i + 1];
+      if (u == w) return true;
+      const NodeId* p = std::lower_bound(row_begin(u), row_end(u), w);
+      return p + 1 != row_end(u) && p[1] == w;
     };
 
-    // Iterate until defect-free. Each pass scans for defective edges and
-    // attempts random switches; the expected number of defects is O(d^2),
-    // so this terminates almost immediately for all practical parameters.
-    const std::uint64_t max_switch_attempts = 200 * (num_stubs + 64);
+    // The one full scan. A committed switch only creates pairs that were
+    // absent (multiplicity 0 -> 1) and only lowers the multiplicity of the
+    // pairs it removes, so an edge outside this list never becomes
+    // defective: every later rescan is a filter of the list, and yields
+    // exactly the ascending index list a full scan would.
+    std::vector<std::size_t> defects;
+    for (std::size_t i = 0; i < num_edges; ++i)
+      if (is_defective(i)) defects.push_back(i);
+
+    // Iterate until defect-free. Each pass drops repaired edges from the
+    // list and attempts random switches; the expected number of defects is
+    // O(d^2), so this terminates almost immediately for all practical
+    // parameters.
+    const std::uint64_t max_switch_attempts = 200 * (pairs.size() + 64);
     std::uint64_t attempts = 0;
     bool clean = false;
     while (attempts < max_switch_attempts) {
-      std::vector<std::size_t> defects;
-      for (std::size_t i = 0; i < edges.size(); ++i)
-        if (is_defective(edges[i])) defects.push_back(i);
+      std::erase_if(defects, [&](std::size_t i) { return !is_defective(i); });
       if (defects.empty()) {
         clean = true;
         break;
       }
       for (const std::size_t i : defects) {
-        if (!is_defective(edges[i])) continue;  // fixed by an earlier switch
+        if (!is_defective(i)) continue;  // fixed by an earlier switch
         bool fixed = false;
         for (int tries = 0; tries < 64 && !fixed; ++tries) {
           ++attempts;
           const std::size_t j =
-              static_cast<std::size_t>(rng.uniform_u64(edges.size()));
+              static_cast<std::size_t>(rng.uniform_u64(num_edges));
           if (j == i) continue;
-          Edge a = edges[i];
-          Edge b = edges[j];
+          const Edge a{pairs[2 * i], pairs[2 * i + 1]};
+          Edge b{pairs[2 * j], pairs[2 * j + 1]};
           // Random orientation of the 2-switch.
           if (rng.bernoulli(0.5)) std::swap(b.u, b.v);
           const Edge na{a.u, b.u};
           const Edge nb{a.v, b.v};
           if (na.u == na.v || nb.u == nb.v) continue;
-          const auto key_na = pair_key(na.u, na.v);
-          const auto key_nb = pair_key(nb.u, nb.v);
-          if (multiplicity[key_na] > 0 || multiplicity[key_nb] > 0) continue;
-          if (key_na == key_nb) continue;  // would create a parallel pair
-          // Commit the switch.
-          auto drop = [&](const Edge& e) {
-            auto it = multiplicity.find(pair_key(e.u, e.v));
-            RRB_ASSERT(it != multiplicity.end() && it->second > 0,
-                       "switch bookkeeping");
-            --it->second;
-          };
-          drop(edges[i]);
-          drop(edges[j]);
-          ++multiplicity[key_na];
-          ++multiplicity[key_nb];
-          edges[i] = na;
-          edges[j] = nb;
+          if (adjacent(na.u, na.v) || adjacent(nb.u, nb.v)) continue;
+          // Would create a parallel pair.
+          if ((na.u == nb.u && na.v == nb.v) || (na.u == nb.v && na.v == nb.u))
+            continue;
+          // Commit the switch: (a.u, a.v) + (b.u, b.v) becomes
+          // (a.u, b.u) + (a.v, b.v), one replace in each endpoint's row.
+          replace_sorted(row_begin(a.u), row_end(a.u), a.v, b.u);
+          replace_sorted(row_begin(a.v), row_end(a.v), a.u, b.v);
+          replace_sorted(row_begin(b.u), row_end(b.u), b.v, a.u);
+          replace_sorted(row_begin(b.v), row_end(b.v), b.u, a.v);
+          pairs[2 * i] = na.u;
+          pairs[2 * i + 1] = na.v;
+          pairs[2 * j] = nb.u;
+          pairs[2 * j + 1] = nb.v;
           fixed = true;
         }
         if (!fixed) break;  // rescan and retry from a fresh defect list
       }
     }
     if (clean) {
-      Graph g = Graph::from_edges(n, edges);
+      Graph g = graph_from_rows(n, d, std::move(rows));
       RRB_ASSERT(g.is_simple(), "repair left a non-simple graph");
       RRB_ASSERT(g.regular_degree() == d, "repair broke regularity");
       return g;

@@ -187,6 +187,9 @@ NodeId Graph::max_degree() const {
 }
 
 std::vector<Edge> Graph::edge_list() const {
+  // Nodes ascend and each sorted list is walked from its self-loop run
+  // (w == v) to the w > v runs, so the output is already in lexicographic
+  // (u, v) order.
   std::vector<Edge> out;
   out.reserve(num_edges_);
   const NodeId n = num_nodes();
@@ -206,9 +209,6 @@ std::vector<Edge> Graph::edge_list() const {
       i = j;
     }
   }
-  std::sort(out.begin(), out.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
   return out;
 }
 

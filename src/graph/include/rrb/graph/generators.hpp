@@ -15,7 +15,10 @@ namespace rrb {
 /// Random d-regular multigraph from the configuration model (§1.2): each of
 /// the n nodes gets d stubs; stubs are paired uniformly at random. May
 /// contain self-loops and parallel edges — exactly the process the paper
-/// analyses. Requires n*d even and d >= 1.
+/// analyses. Requires n*d even and d >= 1. Every node owns exactly d
+/// stubs, so the pairing fills one fixed-width row of d neighbours per
+/// node; the sorted rows become the CSR as is (Graph::from_csr, offsets
+/// v·d), with no edge list in between.
 [[nodiscard]] Graph configuration_model(NodeId n, NodeId d, Rng& rng);
 
 /// Random *simple* d-regular graph: configuration model followed by defect
@@ -25,6 +28,17 @@ namespace rrb {
 /// uniform distribution in practice and is the standard practical sampler.
 /// Throws std::runtime_error if repair fails repeatedly (never observed for
 /// n > 2d^2; a safety valve, not an expected path).
+///
+/// The repair needs no hash table. A switch preserves every degree, so
+/// node v's neighbour multiset stays in one sorted row of d entries:
+/// multiplicity is a binary search in a row and a committed switch is four
+/// sorted single-element replaces. Peak memory is about 2·n·d NodeIds (the
+/// paired stubs, which double as the edge list, and the rows) plus the
+/// defect list. Defects never grow: a committed switch only creates pairs
+/// that were absent (multiplicity 0 -> 1) and only lowers the multiplicity
+/// of the pairs it removes, so no edge outside the current defect list can
+/// become defective. The edge list is therefore scanned in full once, and
+/// each later pass just drops repaired entries from the list.
 [[nodiscard]] Graph random_regular_simple(NodeId n, NodeId d, Rng& rng);
 
 /// Erdős–Rényi G(n, p) via geometric edge skipping; simple by construction.

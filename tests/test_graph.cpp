@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -133,6 +134,27 @@ TEST(Graph, EdgeListCanonicalOrientation) {
   const std::vector<Edge> edges{{3, 1}, {2, 0}};
   const Graph g = Graph::from_edges(4, edges);
   for (const Edge& e : g.edge_list()) EXPECT_LE(e.u, e.v);
+}
+
+// edge_list() walks the sorted CSR: nodes ascend, and within a node the
+// self-loop run precedes the w > v runs, so the list comes out in
+// lexicographic (u, v) order without a sort. Pinned on a multigraph whose
+// input order is scrambled and which mixes loops, a double loop, parallel
+// edges and a loop at the last node.
+TEST(Graph, EdgeListIsLexicographicOnMultigraph) {
+  const std::vector<Edge> edges{{4, 1}, {2, 2}, {1, 0}, {3, 3}, {0, 1},
+                                {2, 1}, {3, 3}, {4, 4}, {0, 4}, {2, 1},
+                                {1, 1}, {3, 0}, {2, 4}, {0, 1}};
+  const Graph g = Graph::from_edges(5, edges);
+  const auto list = g.edge_list();
+  const auto lex = [](const Edge& a, const Edge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  };
+  EXPECT_TRUE(std::is_sorted(list.begin(), list.end(), lex));
+  const std::vector<Edge> expected{{0, 1}, {0, 1}, {0, 1}, {0, 3}, {0, 4},
+                                   {1, 1}, {1, 2}, {1, 2}, {1, 4}, {2, 2},
+                                   {2, 4}, {3, 3}, {3, 3}, {4, 4}};
+  EXPECT_EQ(list, expected);
 }
 
 TEST(GraphBuilder, BuildMatchesFromEdges) {
