@@ -11,16 +11,18 @@
 ///   <out>/timing.jsonl     wall-time side channel (never deterministic,
 ///                          never merged or diffed)
 ///
-/// Results are byte-identical for every --threads value, and an
-/// interrupted run resumes from the manifest, recomputing only missing
-/// cells. Shards (--shard I/K) write disjoint cell subsets; concatenating
-/// shard manifests into one directory and re-running unsharded merges them
-/// without recomputation.
+/// Every cell's trials run as (cell, trial) pairs on one worker queue;
+/// cells are reduced in trial order and committed in cell order, so the
+/// artifacts (manifest included) are byte-identical for every --threads
+/// and --chunk value, and an interrupted run resumes from the manifest,
+/// recomputing only missing cells. Shards (--shard I/K) write disjoint
+/// cell subsets; concatenating shard manifests into one directory and
+/// re-running unsharded merges them without recomputation.
 ///
 /// Usage:
 ///   rrb_campaign [--spec FILE] [--set key=value ...] [--out DIR|none]
-///                [--threads W] [--chunk C] [--parallel-cells]
-///                [--shard I/K] [--merge DIR-OR-GLOB ...] [--list] [--quiet]
+///                [--threads W] [--chunk C] [--shard I/K]
+///                [--merge DIR-OR-GLOB ...] [--list] [--quiet]
 ///
 /// Without --spec, settings start from the built-in defaults; --set
 /// overrides apply on top of the spec in the order given, e.g.
@@ -45,10 +47,12 @@
 ///   rrb_campaign --spec S --distribute 4 --threads 1 --out swept
 
 #include <algorithm>
+#include <cstdint>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -59,6 +63,7 @@
 #include "rrb/common/table.hpp"
 #include "rrb/exp/campaign.hpp"
 #include "rrb/exp/distribute.hpp"
+#include "rrb/exp/spec.hpp"
 #include "rrb/telemetry/telemetry.hpp"
 
 namespace {
@@ -83,9 +88,9 @@ void usage() {
   std::cout <<
       "usage: rrb_campaign [--spec FILE] [--set key=value ...] [--out DIR]\n"
       "                    [--threads W] [--chunk C] [--batch B]\n"
-      "                    [--parallel-cells] [--shard I/K]\n"
-      "                    [--merge DIR-OR-GLOB ...] [--distribute K]\n"
-      "                    [--respawn-budget N] [--list] [--quiet]\n"
+      "                    [--shard I/K] [--merge DIR-OR-GLOB ...]\n"
+      "                    [--distribute K] [--respawn-budget N] [--list]\n"
+      "                    [--quiet]\n"
       "\n"
       "  --spec FILE      campaign spec file (key = value lines; see\n"
       "                   bench/campaigns/*.campaign)\n"
@@ -95,14 +100,13 @@ void usage() {
       "                   'none' runs in memory without artifacts)\n"
       "  --threads W      worker threads (default 0 = auto: $RRB_THREADS,\n"
       "                   else hardware cores); never changes the results\n"
-      "  --chunk C        trials per scheduling task (default 0 = auto)\n"
+      "  --chunk C        (cell, trial) pairs per claim on the one queue of\n"
+      "                   every cell's trials (default 0 = one pair)\n"
       "  --batch B        only 0 (the default) is accepted: campaign cells\n"
       "                   build a fresh graph per trial (static cells) or\n"
       "                   mutate the topology mid-run (churn cells), and\n"
       "                   lockstep batching needs one shared fixed graph\n"
-      "  --parallel-cells fan cells (not trials) across the pool — faster\n"
-      "                   for grids of many small cells, same output\n"
-      "  --shard I/K      run only cells with index %% K == I\n"
+      "  --shard I/K      run only cells with index % K == I\n"
       "  --merge PAT      merge shard manifests into --out before running\n"
       "                   (repeatable; PAT is a directory or a glob whose\n"
       "                   last component may contain '*'). Manifests must\n"
@@ -266,6 +270,21 @@ std::size_t merge_manifests(const std::vector<std::string>& patterns,
   return record_lines.size();
 }
 
+/// A numeric flag value through the spec loader's strict integer rule
+/// (decimal, 0x-hex, 2^k; no sign, no trailing characters), range-checked
+/// into an int.
+int int_flag(const std::string& flag, const std::string& text) {
+  std::uint64_t value = 0;
+  try {
+    value = rrb::exp::parse_u64(text);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(flag + ": " + e.what());
+  }
+  if (value > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+    throw std::runtime_error(flag + ": " + text + " is out of range");
+  return static_cast<int>(value);
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -283,18 +302,21 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.overrides.emplace_back(setting.substr(0, eq), setting.substr(eq + 1));
     }
     else if (flag == "--out") opt.out_dir = next();
-    else if (flag == "--threads") opt.config.runner.threads = std::stoi(next());
-    else if (flag == "--chunk") opt.config.runner.chunk = std::stoi(next());
-    else if (flag == "--batch") opt.config.runner.batch = std::stoi(next());
-    else if (flag == "--parallel-cells") opt.config.parallel_cells = true;
-    else if (flag == "--distribute") opt.distribute = std::stoi(next());
-    else if (flag == "--respawn-budget") opt.respawn_budget = std::stoi(next());
+    else if (flag == "--threads")
+      opt.config.runner.threads = int_flag(flag, next());
+    else if (flag == "--chunk")
+      opt.config.runner.chunk = int_flag(flag, next());
+    else if (flag == "--batch")
+      opt.config.runner.batch = int_flag(flag, next());
+    else if (flag == "--distribute") opt.distribute = int_flag(flag, next());
+    else if (flag == "--respawn-budget")
+      opt.respawn_budget = int_flag(flag, next());
     // Hidden: how the driver runs this binary as a claim-loop worker, and
     // the crash-recovery fixtures' one-shot SIGKILL hook (a flag, not an
     // environment variable, so the worker environment stays inert).
-    else if (flag == "--worker") opt.worker_id = std::stoi(next());
+    else if (flag == "--worker") opt.worker_id = int_flag(flag, next());
     else if (flag == "--worker-crash-after")
-      opt.worker_crash_after = std::stoi(next());
+      opt.worker_crash_after = int_flag(flag, next());
     else if (flag == "--worker-events") opt.worker_events = true;
     else if (flag == "--trace") opt.trace_path = next();
     else if (flag == "--shard") {
@@ -302,20 +324,14 @@ bool parse(int argc, char** argv, Options& opt) {
       const std::size_t slash = shard.find('/');
       if (slash == std::string::npos)
         throw std::runtime_error("--shard expects I/K, got: " + shard);
-      opt.config.shard_index = std::stoi(shard.substr(0, slash));
-      opt.config.shard_count = std::stoi(shard.substr(slash + 1));
+      opt.config.shard_index = int_flag(flag, shard.substr(0, slash));
+      opt.config.shard_count = int_flag(flag, shard.substr(slash + 1));
     }
     else if (flag == "--merge") opt.merge_sources.emplace_back(next());
     else if (flag == "--list") opt.list = true;
     else if (flag == "--quiet") opt.quiet = true;
     else throw std::runtime_error("unknown flag: " + flag);
   }
-  if (opt.config.runner.threads < 0)
-    throw std::runtime_error("--threads must be >= 0");
-  if (opt.config.runner.chunk < 0)
-    throw std::runtime_error("--chunk must be >= 0");
-  if (opt.config.runner.batch < 0)
-    throw std::runtime_error("--batch must be >= 0");
   // Every campaign cell runs on a topology lockstep lanes cannot share, so
   // a batch would be silently ignored; refuse it instead.
   if (opt.config.runner.batch >= 1)
@@ -325,8 +341,6 @@ bool parse(int argc, char** argv, Options& opt) {
         "and churn cells mutate their topology mid-run, while lockstep "
         "batching needs one fixed graph shared by every trial (pass "
         "--batch 0 or omit it)");
-  if (opt.distribute < 0)
-    throw std::runtime_error("--distribute must be >= 1");
   if (opt.distribute > 0 && opt.config.shard_count > 1)
     throw std::runtime_error(
         "--distribute and --shard do not compose: workers already split the "
@@ -360,7 +374,12 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     }
-
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    usage();
+    return 2;
+  }
+  try {
     // Hidden worker mode: claim and compute cells over the driver's
     // campaign directory, then exit. The spec comes from the resolved-spec
     // file the driver wrote — never from this process's own flags — so a

@@ -24,8 +24,11 @@
 /// their per-node distribution digests; observers are read-only, so every
 /// other printed number is unchanged.
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,6 +36,7 @@
 #include "rrb/common/table.hpp"
 #include "rrb/core/scheme_dispatch.hpp"
 #include "rrb/exp/artifact.hpp"
+#include "rrb/exp/spec.hpp"
 #include "rrb/graph/algorithms.hpp"
 #include "rrb/graph/generators.hpp"
 #include "rrb/graph/io.hpp"
@@ -149,6 +153,30 @@ std::vector<rrb::MetricKind> parse_metric_list(const std::string& list) {
   return selected;
 }
 
+/// A numeric flag value through the spec loader's strict integer rule
+/// (decimal, 0x-hex, 2^k; no sign, no trailing characters), range-checked
+/// into T.
+template <typename T>
+T int_flag(const std::string& flag, const char* text) {
+  std::uint64_t value = 0;
+  try {
+    value = rrb::exp::parse_u64(text);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(flag + ": " + e.what());
+  }
+  if (value > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+    throw std::runtime_error(flag + ": " + text + " is out of range");
+  return static_cast<T>(value);
+}
+
+double double_flag(const std::string& flag, const char* text) {
+  try {
+    return rrb::exp::parse_double(text);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(flag + ": " + e.what());
+  }
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -160,26 +188,24 @@ bool parse(int argc, char** argv, Options& opt) {
     if (flag == "--protocol") opt.protocol = next();
     else if (flag == "--list-schemes") opt.list_schemes = true;
     else if (flag == "--graph") opt.graph = next();
-    else if (flag == "--n") opt.n = static_cast<rrb::NodeId>(std::stoul(next()));
-    else if (flag == "--d") opt.d = static_cast<rrb::NodeId>(std::stoul(next()));
-    else if (flag == "--chunks") opt.chunks = std::stoi(next());
-    else if (flag == "--choices") opt.choices = std::stoi(next());
-    else if (flag == "--memory") opt.memory = std::stoi(next());
+    else if (flag == "--n") opt.n = int_flag<rrb::NodeId>(flag, next());
+    else if (flag == "--d") opt.d = int_flag<rrb::NodeId>(flag, next());
+    else if (flag == "--chunks") opt.chunks = int_flag<int>(flag, next());
+    else if (flag == "--choices") opt.choices = int_flag<int>(flag, next());
+    else if (flag == "--memory") opt.memory = int_flag<int>(flag, next());
     else if (flag == "--quasirandom") opt.quasirandom = true;
-    else if (flag == "--failure") opt.failure = std::stod(next());
-    else if (flag == "--alpha") opt.alpha = std::stod(next());
-    else if (flag == "--seed") opt.seed = std::stoull(next());
-    else if (flag == "--trials") opt.trials = std::stoi(next());
-    else if (flag == "--threads") opt.runner.threads = std::stoi(next());
-    else if (flag == "--chunk") opt.runner.chunk = std::stoi(next());
+    else if (flag == "--failure") opt.failure = double_flag(flag, next());
+    else if (flag == "--alpha") opt.alpha = double_flag(flag, next());
+    else if (flag == "--seed") opt.seed = int_flag<std::uint64_t>(flag, next());
+    else if (flag == "--trials") opt.trials = int_flag<int>(flag, next());
+    else if (flag == "--threads")
+      opt.runner.threads = int_flag<int>(flag, next());
+    else if (flag == "--chunk") opt.runner.chunk = int_flag<int>(flag, next());
     else if (flag == "--json") opt.json_path = next();
     else if (flag == "--trace") opt.trace_path = next();
     else if (flag == "--metrics") opt.metrics = next();
     else throw std::runtime_error("unknown flag: " + flag);
   }
-  if (opt.runner.threads < 0) throw std::runtime_error("--threads must be >= 0");
-  if (opt.runner.chunk < 0) throw std::runtime_error("--chunk must be >= 0");
-  if (opt.chunks < 0) throw std::runtime_error("--chunks must be >= 0");
   return true;
 }
 

@@ -3,14 +3,20 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "rrb/bigtopo/bigtopo.hpp"
+#include "rrb/common/check.hpp"
 #include "rrb/core/scheme_dispatch.hpp"
 #include "rrb/exp/journal.hpp"
 #include "rrb/graph/generators.hpp"
@@ -148,124 +154,234 @@ void set_static_columns(JsonObject& record, const TrialOutcome& out) {
       .set("pull_tx_mean", out.pull_tx.mean);
 }
 
-/// Static-graph cell: the graph is regenerated per trial and the scheme is
-/// statically dispatched on each trial's own graph (broadcast_trials), with
-/// trials reduced in trial order. With metrics selected, the observed
-/// overload runs instead: observers are read-only, so every base column
-/// keeps its exact metric-less value and the digests land in appended
-/// columns (pinned in tests/test_campaign.cpp).
-void run_static_cell(const CampaignSpec& spec, const CampaignCell& cell,
-                     const RunnerConfig& trial_runner, JsonObject& record) {
-  BroadcastOptions options = options_for(spec, cell);
-  options.runner = trial_runner;
-  const GraphFactory graph_factory = graph_factory_for(spec, cell);
-  const NodeId source = spec.random_source ? kNoNode : 0;
-
-  if (spec.metrics.empty()) {
-    set_static_columns(record,
-                       broadcast_trials(graph_factory, options, source));
-    return;
-  }
-  const ObservedOutcome<MetricStack> observed = broadcast_trials(
-      graph_factory, options, [](const Graph&) { return MetricStack{}; },
-      source);
-  set_static_columns(record, observed.outcome);
-  set_metric_columns(record, spec, observed.observers);
-}
-
-/// Churn cell: the broadcast runs on a DynamicOverlay while a ChurnDriver
+/// One cell's trials: the per-trial body and the cell's reduce. Trial i
+/// draws from Rng(cell.seed).fork(i) and writes only slot i, so distinct
+/// trials may run concurrently; reduce() reads the slots in trial order,
+/// which makes the record a pure function of (spec, cell) for any schedule.
+///
+/// Static cells regenerate the graph per trial and dispatch the scheme
+/// statically on it, through the same detail::sweep_group every trial
+/// sweep runs. Churn cells run on a DynamicOverlay while a ChurnDriver
 /// joins/leaves/switches between rounds (the E13 setting, generalised to
-/// every scheme). Per-trial measurements land in trial-indexed slots and
-/// are reduced in trial order, so the record honours the determinism
-/// contract for any RunnerConfig.
-void run_churn_cell(const CampaignSpec& spec, const CampaignCell& cell,
-                    const RunnerConfig& trial_runner, JsonObject& record) {
-  struct Measurement {
-    double rounds = 0.0;
-    double coverage = 0.0;
-    double joins = 0.0;
-    double leaves = 0.0;
-    double alive = 0.0;
-    double tx_per_alive = 0.0;
-    bool all_informed = false;
-  };
-  std::vector<Measurement> slots(static_cast<std::size_t>(spec.trials));
+/// every scheme). With metrics selected, each trial also fills a
+/// MetricStack; observers are read-only and draw nothing, so every base
+/// column keeps its exact metric-less value and the digests land in
+/// appended columns (pinned in tests/test_campaign.cpp).
+class CellTrials {
+ public:
+  CellTrials(const CampaignSpec& spec, const CampaignCell& cell)
+      : spec_(spec),
+        cell_(cell),
+        options_(options_for(spec, cell)),
+        plan_(detail::plan_for(options_,
+                               spec.random_source ? kNoNode : NodeId{0})),
+        runs_(static_cast<std::size_t>(spec.trials)),
+        churn_totals_(cell.overlay ? runs_.size() : 0),
+        stacks_(spec.metrics.empty() ? 0 : runs_.size()) {
+    if (!cell.overlay) graphs_ = graph_factory_for(spec, cell);
+  }
 
-  const BroadcastOptions options = options_for(spec, cell);
-  // expand_cells has normalised cell.d to the family's effective degree
-  // (hypercube dim, complete n-1), so it IS the overlay's degree.
-  const SchemeShape shape{cell.n, cell.d, static_cast<double>(cell.d)};
-  const NodeId capacity =
-      cell.n + static_cast<NodeId>(std::ceil(
-                   static_cast<double>(cell.n) * spec.churn_headroom));
+  void run(int trial) {
+    const auto t = static_cast<std::size_t>(trial);
+    if (cell_.overlay)
+      run_churn(t);
+    else if (stacks_.empty())
+      (void)sweep_trial(t, detail::MakeNoMetrics{});
+    else
+      stacks_[t] = sweep_trial(t, [](const Graph&) { return MetricStack{}; });
+  }
 
-  // Per-trial metric stacks, reduced in trial order below — the same slot
-  // discipline as Measurement, so metric columns obey the determinism
-  // contract too. Observers draw nothing: the branch below attaches the
-  // stack without touching the trial's draw sequence.
-  const bool want_metrics = !spec.metrics.empty();
-  std::vector<MetricStack> stacks(
-      want_metrics ? static_cast<std::size_t>(spec.trials) : 0);
+  /// The cell's record, once every trial has run.
+  [[nodiscard]] JsonObject reduce() {
+    JsonObject record;
+    set_axis_fields(record, spec_, cell_);
+    if (cell_.overlay)
+      set_churn_columns(record);
+    else
+      set_static_columns(record, detail::reduce_runs(std::move(runs_)));
+    if (!stacks_.empty()) set_metric_columns(record, spec_, stacks_);
+    return record;
+  }
 
-  ParallelRunner runner(trial_runner);
-  runner.for_each_trial(spec.trials, [&](int trial) {
-    Rng rng = Rng(cell.seed).fork(static_cast<std::uint64_t>(trial));
-    DynamicOverlay overlay(capacity, cell.n, cell.d, rng);
+ private:
+  /// Static-cell trial t: its run lands in runs_[t], its observer is
+  /// returned.
+  template <typename MakeObserver,
+            typename Obs =
+                std::invoke_result_t<const MakeObserver&, const Graph&>>
+  Obs sweep_trial(std::size_t t, const MakeObserver& make_observer) {
+    std::optional<Obs> observer;
+    detail::sweep_group(graphs_, options_, plan_, make_observer, t,
+                        std::span<RunResult>(runs_).subspan(t, 1),
+                        std::span(&observer, 1));
+    return std::move(observer).value();
+  }
+
+  void run_churn(std::size_t trial) {
+    // expand_cells has normalised cell.d to the family's effective degree
+    // (hypercube dim, complete n-1), so it IS the overlay's degree.
+    const SchemeShape shape{cell_.n, cell_.d, static_cast<double>(cell_.d)};
+    const NodeId capacity =
+        cell_.n + static_cast<NodeId>(std::ceil(
+                      static_cast<double>(cell_.n) * spec_.churn_headroom));
+    Rng rng = Rng(cell_.seed).fork(trial);
+    DynamicOverlay overlay(capacity, cell_.n, cell_.d, rng);
     ChurnConfig churn;
-    churn.joins_per_round = cell.churn;
-    churn.leaves_per_round = cell.churn;
-    churn.switches_per_round = spec.churn_switches;
+    churn.joins_per_round = cell_.churn;
+    churn.leaves_per_round = cell_.churn;
+    churn.switches_per_round = spec_.churn_switches;
     ChurnDriver driver(overlay, churn, rng);
 
+    // Observers draw nothing: attaching the stack leaves the trial's draw
+    // sequence untouched.
     MetricStack stack;
-    const RunResult result = with_scheme(
-        shape, options, [&](auto proto, const ChannelConfig& channel) {
+    runs_[trial] = with_scheme(
+        shape, options_, [&](auto proto, const ChannelConfig& channel) {
           PhoneCallEngine<DynamicOverlay> engine(overlay, channel, rng);
           attach_churn(engine, driver);
-          RunLimits limits;
-          limits.max_rounds = spec.max_rounds;
-          const NodeId source =
-              spec.random_source ? overlay.random_alive(rng) : 0;
-          if (want_metrics) return engine.run(proto, source, limits, stack);
-          return engine.run(proto, source, limits);
+          const NodeId source = plan_.source == kNoNode
+                                    ? overlay.random_alive(rng)
+                                    : plan_.source;
+          if (!stacks_.empty())
+            return engine.run(proto, source, plan_.limits, stack);
+          return engine.run(proto, source, plan_.limits);
         });
-    if (want_metrics) stacks[static_cast<std::size_t>(trial)] = std::move(stack);
-
-    Measurement& m = slots[static_cast<std::size_t>(trial)];
-    const auto alive = static_cast<double>(result.alive_at_end);
-    m.rounds = static_cast<double>(result.rounds);
-    m.coverage =
-        alive > 0.0 ? static_cast<double>(result.final_informed) / alive : 0.0;
-    m.joins = static_cast<double>(driver.total_joins());
-    m.leaves = static_cast<double>(driver.total_leaves());
-    m.alive = alive;
-    m.tx_per_alive =
-        alive > 0.0 ? static_cast<double>(result.total_tx()) / alive : 0.0;
-    m.all_informed = result.all_informed;
-  });
-
-  SummaryAccumulator rounds, coverage, joins, leaves, alive, tx;
-  int completed = 0;
-  for (const Measurement& m : slots) {
-    rounds.add(m.rounds);
-    coverage.add(m.coverage);
-    joins.add(m.joins);
-    leaves.add(m.leaves);
-    alive.add(m.alive);
-    tx.add(m.tx_per_alive);
-    if (m.all_informed) ++completed;
+    if (!stacks_.empty()) stacks_[trial] = std::move(stack);
+    churn_totals_[trial] = {driver.total_joins(), driver.total_leaves()};
   }
-  const Summary coverage_summary = coverage.finish();
-  record.set("rounds_mean", rounds.finish().mean)
-      .set("coverage_mean", coverage_summary.mean)
-      .set("coverage_min", coverage_summary.min)
-      .set("completion_rate", static_cast<double>(completed) /
-                                  static_cast<double>(spec.trials))
-      .set("joins_mean", joins.finish().mean)
-      .set("leaves_mean", leaves.finish().mean)
-      .set("alive_mean", alive.finish().mean)
-      .set("tx_per_alive_mean", tx.finish().mean);
-  if (want_metrics) set_metric_columns(record, spec, stacks);
+
+  void set_churn_columns(JsonObject& record) const {
+    SummaryAccumulator rounds, coverage, joins, leaves, alive, tx;
+    int completed = 0;
+    for (std::size_t t = 0; t < runs_.size(); ++t) {
+      const RunResult& run = runs_[t];
+      const auto n_alive = static_cast<double>(run.alive_at_end);
+      rounds.add(static_cast<double>(run.rounds));
+      coverage.add(n_alive > 0.0
+                       ? static_cast<double>(run.final_informed) / n_alive
+                       : 0.0);
+      joins.add(static_cast<double>(churn_totals_[t].first));
+      leaves.add(static_cast<double>(churn_totals_[t].second));
+      alive.add(n_alive);
+      tx.add(n_alive > 0.0 ? static_cast<double>(run.total_tx()) / n_alive
+                           : 0.0);
+      if (run.all_informed) ++completed;
+    }
+    const Summary coverage_summary = coverage.finish();
+    record.set("rounds_mean", rounds.finish().mean)
+        .set("coverage_mean", coverage_summary.mean)
+        .set("coverage_min", coverage_summary.min)
+        .set("completion_rate", static_cast<double>(completed) /
+                                    static_cast<double>(spec_.trials))
+        .set("joins_mean", joins.finish().mean)
+        .set("leaves_mean", leaves.finish().mean)
+        .set("alive_mean", alive.finish().mean)
+        .set("tx_per_alive_mean", tx.finish().mean);
+  }
+
+  const CampaignSpec& spec_;
+  const CampaignCell& cell_;
+  BroadcastOptions options_;
+  detail::SweepPlan plan_;
+  GraphFactory graphs_;  // static cells
+  std::vector<RunResult> runs_;
+  std::vector<std::pair<Count, Count>> churn_totals_;  // joins, leaves
+  std::vector<MetricStack> stacks_;                    // metrics selected
+};
+
+/// Scheduling state of one cell in the queue. Every field but `trials` is
+/// guarded by the scheduler's mutex.
+struct QueuedCell {
+  std::unique_ptr<CellTrials> trials;  // freed by the cell's reduce
+  int remaining = 0;                   // trials not yet finished
+  std::int64_t start_us = -1;          // first trial start (side channel)
+  double wall_ms = 0.0;
+  bool done = false;  // record ready to commit
+};
+
+/// The one campaign scheduler. Every (cell, trial) pair of the cells not
+/// yet `reused` goes, in cell order and then trial order, on one
+/// ParallelRunner; a claim takes one pair (each builds its own graph, so no
+/// claim dominates), or runner.chunk consecutive pairs when set. When a
+/// cell's last trial lands, that worker reduces the cell into its record
+/// and frees the slots. Then, under the mutex, finished cells are committed
+/// strictly in cell order — reused cells in their place — by
+/// commit(i, wall_ms); commit runs under the mutex because that order is
+/// what makes the manifest and the progress stream schedule-independent.
+/// If commit throws, no further cell is committed and the exception
+/// propagates; finished cells not yet committed are lost (a resume
+/// recomputes them, bit-identically).
+void execute(const CampaignSpec& spec, std::vector<CellResult>& cells,
+             const RunnerConfig& runner,
+             const std::function<void(std::size_t, double)>& commit) {
+  std::mutex mutex;
+  std::vector<QueuedCell> queue(cells.size());
+  std::size_t next = 0;  // first cell not yet committed
+  bool failed = false;   // commit threw
+
+  std::vector<std::size_t> todo;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i].reused) {
+      queue[i].done = true;
+      continue;
+    }
+    queue[i].trials = std::make_unique<CellTrials>(spec, cells[i].cell);
+    queue[i].remaining = spec.trials;
+    todo.push_back(i);
+  }
+
+  const auto commit_ready = [&] {  // caller holds `mutex`
+    while (!failed && next < cells.size() && queue[next].done) {
+      failed = true;  // stays set if commit throws
+      commit(next, queue[next].wall_ms);
+      failed = false;
+      ++next;
+    }
+  };
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    commit_ready();
+  }
+
+  const auto trials = static_cast<std::size_t>(spec.trials);
+  RRB_REQUIRE(todo.size() <= static_cast<std::size_t>(
+                                 std::numeric_limits<int>::max()) / trials,
+              "campaign has too many (cell, trial) pairs");
+  RunnerConfig config = runner;
+  if (config.chunk == 0) config.chunk = 1;
+  ParallelRunner(config).for_each_trial(
+      static_cast<int>(todo.size() * trials), [&](int pair) {
+        const std::size_t i = todo[static_cast<std::size_t>(pair) / trials];
+        const int trial = static_cast<int>(static_cast<std::size_t>(pair) %
+                                           trials);
+        QueuedCell& cell = queue[i];
+        // Wall-clock reads go through telemetry::now_us, the audited
+        // side-channel entry point: the values feed only commit's wall_ms
+        // and the span, never a record.
+        {
+          const std::lock_guard<std::mutex> lock(mutex);
+          if (cell.start_us < 0) cell.start_us = telemetry::now_us();
+        }
+        {
+          telemetry::Span span("campaign", cells[i].cell.key);
+          if (span.active())
+            span.set_args("{\"trial\":" + std::to_string(trial) + "}");
+          cell.trials->run(trial);
+        }
+        {
+          const std::lock_guard<std::mutex> lock(mutex);
+          if (--cell.remaining > 0) return;
+        }
+        JsonObject record = cell.trials->reduce();
+        cell.trials.reset();
+        const std::int64_t end_us = telemetry::now_us();
+
+        const std::lock_guard<std::mutex> lock(mutex);
+        cells[i].record = std::move(record);
+        cell.wall_ms = static_cast<double>(end_us - cell.start_us) / 1000.0;
+        cell.done = true;
+        commit_ready();
+      });
 }
 
 }  // namespace
@@ -273,19 +389,10 @@ void run_churn_cell(const CampaignSpec& spec, const CampaignCell& cell,
 JsonObject CampaignRunner::run_cell(const CampaignSpec& spec,
                                     const CampaignCell& cell,
                                     const RunnerConfig& trial_runner) {
-  // Wall-clock only: the span never touches the record, so cell output is
-  // bit-identical with telemetry on or off (tests/test_telemetry.cpp).
-  telemetry::Span cell_span("campaign", cell.key);
-  if (cell_span.active())
-    cell_span.set_args("{\"trials\":" + std::to_string(spec.trials) + "}");
-
-  JsonObject record;
-  set_axis_fields(record, spec, cell);
-  if (cell.overlay)
-    run_churn_cell(spec, cell, trial_runner, record);
-  else
-    run_static_cell(spec, cell, trial_runner, record);
-  return record;
+  std::vector<CellResult> one(1);
+  one[0].cell = cell;
+  execute(spec, one, trial_runner, [](std::size_t, double) {});
+  return std::move(one[0].record);
 }
 
 CampaignRunner::CampaignRunner(CampaignSpec spec, CampaignConfig config)
@@ -302,12 +409,6 @@ CampaignOutcome CampaignRunner::run(const CellProgress& progress) {
 
   CampaignOutcome outcome;
   outcome.total_cells = cells_.size();
-
-  std::vector<const CampaignCell*> mine;
-  for (const CampaignCell& cell : cells_)
-    if (static_cast<int>(cell.index % static_cast<std::size_t>(
-                             config_.shard_count)) == config_.shard_index)
-      mine.push_back(&cell);
 
   const bool persist = !config_.out_dir.empty();
   const std::string fingerprint = to_hex(spec_fingerprint(spec_));
@@ -329,7 +430,7 @@ CampaignOutcome CampaignRunner::run(const CellProgress& progress) {
   }
 
   // Timing side channel (see campaign.hpp): wall time per freshly computed
-  // cell, appended in completion order. Deliberately kept out of the
+  // cell, appended in cell order. Deliberately kept out of the
   // manifest/results so the deterministic artifacts stay byte-identical
   // whatever the hardware did; a failed open just disables the channel.
   std::ofstream timing_out;
@@ -337,86 +438,46 @@ CampaignOutcome CampaignRunner::run(const CellProgress& progress) {
     outcome.timing_path = config_.out_dir + "/timing.jsonl";
     timing_out.open(outcome.timing_path, std::ios::app);
   }
-  // Wall-clock reads go through telemetry::now_us — the audited side-channel
-  // entry point (ROADMAP telemetry invariant): the value feeds only the
-  // timing.jsonl line below, never the deterministic records.
-  const auto timing_now = [] { return telemetry::now_us(); };
-  const auto elapsed_ms = [](std::int64_t start_us, std::int64_t end_us) {
-    return static_cast<double>(end_us - start_us) / 1000.0;
-  };
-  std::vector<double> wall_ms(mine.size(), 0.0);
-  auto record_timing = [&](std::size_t i) {
-    if (!timing_out || outcome.cells[i].reused) return;
-    const double ms = wall_ms[i];
-    JsonObject line;
-    line.set("key", outcome.cells[i].cell.key)
-        .set("wall_ms", ms)
-        .set("trials", spec_.trials)
-        .set("trials_per_s",
-             ms > 0.0 ? static_cast<double>(spec_.trials) / (ms / 1000.0)
-                      : 0.0)
-        .set("peak_rss_bytes", telemetry::peak_rss_bytes());
-    timing_out << line.to_line() << "\n" << std::flush;
-  };
 
-  // ---- Fill slots: reuse journal records, collect the cells still to run.
-  outcome.cells.resize(mine.size());
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    CellResult& slot = outcome.cells[i];
-    slot.cell = *mine[i];
-    const auto found = journal.find(mine[i]->key);
-    if (found != journal.end()) {
+  // ---- This shard's cells, in cell order: journal records are reused,
+  // the rest computed.
+  for (const CampaignCell& cell : cells_) {
+    if (static_cast<int>(cell.index % static_cast<std::size_t>(
+                             config_.shard_count)) != config_.shard_index)
+      continue;
+    CellResult& slot = outcome.cells.emplace_back();
+    slot.cell = cell;
+    if (const auto found = journal.find(cell.key); found != journal.end()) {
       slot.record = found->second;
       slot.reused = true;
-    } else {
-      missing.push_back(i);
+      ++outcome.reused;
     }
   }
+  outcome.computed = outcome.cells.size() - outcome.reused;
 
-  // Stream one journal line per freshly completed cell; flushed before the
-  // progress callback runs, so however the run dies afterwards the cell is
-  // already resumable.
-  auto complete = [&](std::size_t i) {
-    if (persist && !outcome.cells[i].reused)
-      journal_out->append(outcome.cells[i].record);
-    record_timing(i);
-    if (progress) progress(outcome.cells[i]);
-  };
-
-  if (!config_.parallel_cells) {
-    // Cells in cell order; each cell's trials fan out on the pool.
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      if (!outcome.cells[i].reused) {
-        const std::int64_t start = timing_now();
-        outcome.cells[i].record = run_cell(spec_, *mine[i], config_.runner);
-        wall_ms[i] = elapsed_ms(start, timing_now());
-      }
-      complete(i);
-    }
-  } else {
-    // Cells fan out on the pool; each cell's trials run sequentially.
-    // Identical output either way — records are pure in (spec, cell) and
-    // the slots below are reduced in cell order.
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      if (outcome.cells[i].reused) complete(i);
-    RunnerConfig inner;
-    inner.threads = 1;
-    std::mutex mutex;
-    ParallelRunner pool(config_.runner);
-    pool.for_each_trial(static_cast<int>(missing.size()), [&](int j) {
-      const std::size_t i = missing[static_cast<std::size_t>(j)];
-      const std::int64_t start = timing_now();
-      JsonObject record = run_cell(spec_, *mine[i], inner);
-      const double ms = elapsed_ms(start, timing_now());
-      const std::lock_guard<std::mutex> lock(mutex);
-      outcome.cells[i].record = std::move(record);
-      wall_ms[i] = ms;
-      complete(i);
-    });
-  }
-  outcome.computed = missing.size();
-  outcome.reused = mine.size() - missing.size();
+  // Commit, in cell order: one journal line per freshly computed cell,
+  // flushed before its timing line and the progress callback, so however
+  // the run dies afterwards the cell is already resumable.
+  execute(spec_, outcome.cells, config_.runner,
+          [&](std::size_t i, double wall_ms) {
+            const CellResult& cell = outcome.cells[i];
+            if (!cell.reused) {
+              if (persist) journal_out->append(cell.record);
+              if (timing_out) {
+                JsonObject line;
+                line.set("key", cell.cell.key)
+                    .set("wall_ms", wall_ms)
+                    .set("trials", spec_.trials)
+                    .set("trials_per_s",
+                         wall_ms > 0.0 ? static_cast<double>(spec_.trials) /
+                                             (wall_ms / 1000.0)
+                                       : 0.0)
+                    .set("peak_rss_bytes", telemetry::peak_rss_bytes());
+                timing_out << line.to_line() << "\n" << std::flush;
+              }
+            }
+            if (progress) progress(cell);
+          });
 
   // ---- Final artifacts, rewritten in cell order. Byte-identical for any
   // thread count, shard replay, or interrupt/resume history. The stream

@@ -31,8 +31,10 @@
 ///    campaign was executed.
 ///  * `timing.jsonl` — a SIDE CHANNEL, never part of the deterministic
 ///    record set: one appended line per freshly computed cell with its
-///    wall time and trial throughput, so campaign runs feed the perf
-///    trajectory the way bench_micro_engine's BENCH_*.json does.
+///    wall time (first trial start to the cell's reduce) and trial
+///    throughput, so campaign runs feed the perf trajectory the way
+///    bench_micro_engine's BENCH_*.json does. Cells' trials overlap on the
+///    pool, so the cells' wall_ms no longer sum to the run's wall time.
 ///    Determinism diffs (CI, tests) must never include this file.
 ///
 /// Sharding: `shard_index/shard_count` restricts a run to cells with
@@ -45,14 +47,13 @@ namespace rrb::exp {
 
 /// Execution knobs. None of these affect the recorded numbers.
 struct CampaignConfig {
-  /// Worker pool for each cell's trials (and for the cell loop when
-  /// parallel_cells is set). Defaults resolve via $RRB_THREADS.
+  /// The one worker pool. Every (cell, trial) pair still to compute is
+  /// queued on it in cell order, then trial order; `runner.chunk` is the
+  /// number of consecutive pairs per claim (0 = one pair). Cells overlap,
+  /// but they are reduced in trial order and committed in cell order, so
+  /// the artifacts — the manifest included — are byte-identical for every
+  /// thread count and chunk. Threads default via $RRB_THREADS.
   RunnerConfig runner;
-
-  /// Fan the *cells* out across the pool (each cell's trials then run
-  /// sequentially) instead of running cells in order with parallel trials.
-  /// Better for grids of many small cells; output is identical either way.
-  bool parallel_cells = false;
 
   int shard_index = 0;
   int shard_count = 1;
@@ -83,10 +84,11 @@ struct CampaignOutcome {
                                   ///< in-memory runs (see timing.jsonl above)
 };
 
-/// Streamed per-cell completion callback. Invoked in completion order
-/// (== cell order unless parallel_cells), after the cell's journal line
-/// has been flushed. Throwing aborts the run; completed cells stay in the
-/// journal, so a later run resumes where this one stopped.
+/// Streamed per-cell completion callback. Invoked always in cell order
+/// (reused cells in their place), after the cell's journal and timing
+/// lines have been flushed. Throwing aborts the run: no further cell is
+/// committed, and committed cells stay in the journal, so a later run
+/// resumes where this one stopped.
 using CellProgress = std::function<void(const CellResult&)>;
 
 class CampaignRunner {
@@ -103,9 +105,10 @@ class CampaignRunner {
   /// Execute (or resume) the campaign and write the artifacts.
   CampaignOutcome run(const CellProgress& progress = {});
 
-  /// Execute one cell: `trials` runs under the seeding contract, reduced in
-  /// trial order into a deterministic record. Pure in (spec, cell);
-  /// `trial_runner` only schedules.
+  /// Execute one cell: the run() scheduler over this cell alone — `trials`
+  /// runs under the seeding contract, reduced in trial order into a
+  /// deterministic record. Pure in (spec, cell); `trial_runner` only
+  /// schedules.
   [[nodiscard]] static JsonObject run_cell(const CampaignSpec& spec,
                                            const CampaignCell& cell,
                                            const RunnerConfig& trial_runner);

@@ -202,6 +202,16 @@ struct CampaignCell {
 /// refused instead of silently mixing incompatible cells.
 [[nodiscard]] std::uint64_t spec_fingerprint(const CampaignSpec& spec);
 
+/// Strict unsigned integer: decimal, 0x-hex, or a 2^k power shorthand,
+/// surrounding blanks trimmed. Throws std::runtime_error on anything else
+/// (a sign, trailing characters, overflow). The spec loader's number rule,
+/// shared with the CLIs' numeric flags.
+[[nodiscard]] std::uint64_t parse_u64(std::string_view text);
+
+/// Strict locale-independent floating-point number, surrounding blanks
+/// trimmed. Throws std::runtime_error on trailing characters.
+[[nodiscard]] double parse_double(std::string_view text);
+
 /// Apply one `key = value` setting (also the --set flag of rrb_campaign).
 /// List-valued keys take comma-separated values; integers accept 0x-hex
 /// and a 2^k power shorthand. Throws std::runtime_error on unknown keys or

@@ -47,6 +47,8 @@ constexpr std::array<GraphFamily, 7> kAllFamilies = {
   return out;
 }
 
+}  // namespace
+
 /// Unsigned integer with 0x-hex and 2^k shorthand.
 [[nodiscard]] std::uint64_t parse_u64(std::string_view text) {
   text = trim(text);
@@ -78,6 +80,8 @@ constexpr std::array<GraphFamily, 7> kAllFamilies = {
     fail("cannot parse number '" + std::string(text) + "'");
   return value;
 }
+
+namespace {
 
 [[nodiscard]] bool parse_bool(std::string_view text) {
   text = trim(text);

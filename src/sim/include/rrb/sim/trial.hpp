@@ -162,14 +162,76 @@ struct MakeNoMetrics {
   NoMetrics operator()(const Graph&) const { return {}; }
 };
 
-/// The one trial sweep every driver runs. Trial i seeds Rng(seed).fork(i)
-/// and draws, in order: its graph (per-trial sources only), its source
-/// (unless plan.source fixes one), then the engine's round draws. A fixed
-/// graph with plan.runner.batch >= 1 advances groups of that many trials in
-/// lockstep on BatchedPhoneCallEngine with the same per-lane streams, so
-/// runs and observers come out bit-identical to batch = 0 (pinned by
-/// tests/test_batched_engine.cpp); a per-trial graph source ignores batch,
-/// since lockstep lanes need one shared topology.
+/// Trials [first, first + runs.size()) of a sweep, as one group: trial
+/// first + b writes runs[b] and observers[b] and nothing else, so groups
+/// may run concurrently. Trial i seeds Rng(plan.seed).fork(i) and draws, in
+/// order: its graph (per-trial sources only), its source (unless
+/// plan.source fixes one), then the engine's round draws. A fixed graph
+/// with plan.runner.batch >= 1 advances the group's lanes in lockstep on
+/// BatchedPhoneCallEngine with the same per-lane streams, so runs and
+/// observers come out bit-identical to one-lane groups (pinned by
+/// tests/test_batched_engine.cpp). Every sweep body runs here: sweep below,
+/// and the campaign scheduler's (cell, trial) queue.
+template <typename GraphSource, typename ProtocolSource,
+          typename MakeObserver,
+          MetricObserver Obs =
+              std::invoke_result_t<const MakeObserver&, const Graph&>>
+void sweep_group(const GraphSource& graphs, const ProtocolSource& protocols,
+                 const SweepPlan& plan, const MakeObserver& make_observer,
+                 std::size_t first, std::span<RunResult> runs,
+                 std::span<std::optional<Obs>> observer_slots) {
+  constexpr bool kFixedGraph = std::is_same_v<GraphSource, Graph>;
+  const std::size_t lanes = runs.size();
+  RRB_REQUIRE(lanes >= 1 && observer_slots.size() == lanes,
+              "sweep group needs one run and one observer slot per lane");
+  Rng rng = Rng(plan.seed).fork(first);
+  with_trial_graph(graphs, rng, [&](const Graph& graph) {
+    RRB_REQUIRE(graph.num_nodes() >= 2, "trial graph too small");
+    RRB_REQUIRE(plan.source == kNoNode || plan.source < graph.num_nodes(),
+                "source out of range");
+    // Lane b is trial first + b and draws its source from its own
+    // stream; lane 0 continues `rng` past the graph's draws.
+    std::vector<Rng> rngs;
+    std::vector<NodeId> sources;
+    for (std::size_t b = 0; b < lanes; ++b) {
+      rngs.push_back(b == 0 ? rng : Rng(plan.seed).fork(first + b));
+      sources.push_back(
+          plan.source != kNoNode
+              ? plan.source
+              : static_cast<NodeId>(
+                    rngs.back().uniform_u64(graph.num_nodes())));
+    }
+    std::vector<Obs> observers;
+    observers.reserve(lanes);
+    for (std::size_t b = 0; b < lanes; ++b)
+      observers.push_back(make_observer(graph));
+
+    with_protocols(protocols, graph, lanes,
+                   [&](auto protos, const ChannelConfig& channel) {
+      GraphTopology topo(graph);
+      if constexpr (kFixedGraph) {
+        if (plan.runner.batch >= 1) {
+          BatchedPhoneCallEngine<GraphTopology> engine(topo, channel);
+          std::vector<RunResult> results = engine.run(
+              protos, std::span<const NodeId>(sources),
+              std::span<Rng>(rngs), plan.limits, std::span<Obs>(observers));
+          for (std::size_t b = 0; b < lanes; ++b)
+            runs[b] = std::move(results[b]);
+          return;
+        }
+      }
+      PhoneCallEngine<GraphTopology> engine(topo, channel, rngs[0]);
+      runs[0] = engine.run(*protos[0], sources[0], plan.limits, observers[0]);
+    });
+    for (std::size_t b = 0; b < lanes; ++b)
+      observer_slots[b] = std::move(observers[b]);
+  });
+}
+
+/// The one trial sweep every driver runs: plan.trials trials in groups of
+/// plan.runner.batch lanes (fixed graph only; a per-trial graph source
+/// ignores batch, since lockstep lanes need one shared topology), each
+/// group a sweep_group on the worker pool, reduced in trial order.
 template <typename GraphSource, typename ProtocolSource,
           typename MakeObserver = MakeNoMetrics,
           MetricObserver Obs =
@@ -190,49 +252,9 @@ template <typename GraphSource, typename ProtocolSource,
                        static_cast<std::size_t>(width);
     const std::size_t lanes =
         std::min(static_cast<std::size_t>(width), trials - first);
-    Rng rng = Rng(plan.seed).fork(first);
-    with_trial_graph(graphs, rng, [&](const Graph& graph) {
-      RRB_REQUIRE(graph.num_nodes() >= 2, "trial graph too small");
-      RRB_REQUIRE(plan.source == kNoNode || plan.source < graph.num_nodes(),
-                  "source out of range");
-      // Lane b is trial first + b and draws its source from its own
-      // stream; lane 0 continues `rng` past the graph's draws.
-      std::vector<Rng> rngs;
-      std::vector<NodeId> sources;
-      for (std::size_t b = 0; b < lanes; ++b) {
-        rngs.push_back(b == 0 ? rng : Rng(plan.seed).fork(first + b));
-        sources.push_back(
-            plan.source != kNoNode
-                ? plan.source
-                : static_cast<NodeId>(
-                      rngs.back().uniform_u64(graph.num_nodes())));
-      }
-      std::vector<Obs> observers;
-      observers.reserve(lanes);
-      for (std::size_t b = 0; b < lanes; ++b)
-        observers.push_back(make_observer(graph));
-
-      with_protocols(protocols, graph, lanes,
-                     [&](auto protos, const ChannelConfig& channel) {
-        GraphTopology topo(graph);
-        if constexpr (kFixedGraph) {
-          if (plan.runner.batch >= 1) {
-            BatchedPhoneCallEngine<GraphTopology> engine(topo, channel);
-            std::vector<RunResult> results = engine.run(
-                protos, std::span<const NodeId>(sources),
-                std::span<Rng>(rngs), plan.limits, std::span<Obs>(observers));
-            for (std::size_t b = 0; b < lanes; ++b)
-              runs[first + b] = std::move(results[b]);
-            return;
-          }
-        }
-        PhoneCallEngine<GraphTopology> engine(topo, channel, rngs[0]);
-        runs[first] =
-            engine.run(*protos[0], sources[0], plan.limits, observers[0]);
-      });
-      for (std::size_t b = 0; b < lanes; ++b)
-        slots[first + b] = std::move(observers[b]);
-    });
+    sweep_group(graphs, protocols, plan, make_observer, first,
+                std::span<RunResult>(runs).subspan(first, lanes),
+                std::span<std::optional<Obs>>(slots).subspan(first, lanes));
   });
 
   ObservedOutcome<Obs> observed;

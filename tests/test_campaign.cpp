@@ -483,11 +483,11 @@ struct ArtifactBytes {
 };
 
 ArtifactBytes run_to_dir(const CampaignSpec& spec, const std::string& dir,
-                         int threads, bool parallel_cells = false,
-                         const CellProgress& progress = {}) {
+                         int threads, const CellProgress& progress = {},
+                         int chunk = 0) {
   CampaignConfig config;
   config.runner.threads = threads;
-  config.parallel_cells = parallel_cells;
+  config.runner.chunk = chunk;
   config.out_dir = dir;
   CampaignRunner runner(spec, config);
   const CampaignOutcome outcome = runner.run(progress);
@@ -499,57 +499,125 @@ ArtifactBytes run_to_dir(const CampaignSpec& spec, const std::string& dir,
   return bytes;
 }
 
+/// Rewrite dir's manifest as `manifest` minus every other record line
+/// (the header stays), so a resume reuses cells 0, 2, ... and recomputes
+/// the rest.
+void halve_manifest(const std::string& dir, const std::string& manifest) {
+  std::istringstream in(manifest);
+  std::ofstream rewrite(dir + "/manifest.jsonl", std::ios::trunc);
+  std::string line;
+  int record_index = 0;
+  while (std::getline(in, line)) {
+    const bool header = line.find("\"fingerprint\"") != std::string::npos;
+    if (header || record_index++ % 2 == 0) rewrite << line << "\n";
+  }
+}
+
 TEST(CampaignDeterminism, ArtifactsAreByteIdenticalAcrossThreadCounts) {
+  // Every schedule of the one (cell, trial) queue — one worker, several,
+  // more workers than a cell has trials, and claims of three pairs that
+  // straddle cell boundaries — commits cells in cell order, so even the
+  // manifest's line order is schedule-independent.
   const CampaignSpec spec = tiny_spec();
   const ArtifactBytes t1 = run_to_dir(spec, temp_dir("t1"), 1);
-  const ArtifactBytes t2 = run_to_dir(spec, temp_dir("t2"), 2);
-  const ArtifactBytes t8 = run_to_dir(spec, temp_dir("t8"), 8);
-  const ArtifactBytes cells =
-      run_to_dir(spec, temp_dir("cells"), 4, /*parallel_cells=*/true);
-
-  EXPECT_EQ(t1.results_json, t2.results_json);
-  EXPECT_EQ(t1.results_json, t8.results_json);
-  EXPECT_EQ(t1.results_json, cells.results_json);
-  EXPECT_EQ(t1.results_csv, t2.results_csv);
-  EXPECT_EQ(t1.results_csv, cells.results_csv);
-  EXPECT_EQ(t1.meta, t2.meta);
-  EXPECT_EQ(t1.meta, cells.meta);
-  // The manifest's line *order* is completion order (scheduling-dependent
-  // under parallel_cells); its content is not.
-  EXPECT_EQ(t1.manifest, t2.manifest);
-  EXPECT_EQ(sorted_lines(t1.manifest), sorted_lines(cells.manifest));
+  const std::vector<std::pair<std::string, ArtifactBytes>> schedules = {
+      {"t2", run_to_dir(spec, temp_dir("t2"), 2)},
+      {"t8", run_to_dir(spec, temp_dir("t8"), 8)},
+      {"t4c3", run_to_dir(spec, temp_dir("t4c3"), 4, {}, /*chunk=*/3)},
+  };
+  for (const auto& [name, bytes] : schedules) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(bytes.results_json, t1.results_json);
+    EXPECT_EQ(bytes.results_csv, t1.results_csv);
+    EXPECT_EQ(bytes.meta, t1.meta);
+    EXPECT_EQ(bytes.manifest, t1.manifest);
+  }
 }
 
 TEST(CampaignDeterminism, InterruptedRunResumesBitIdentically) {
   const CampaignSpec spec = tiny_spec();
   const ArtifactBytes full = run_to_dir(spec, temp_dir("full"), 2);
 
-  // Simulate an interrupt: abort from the progress callback after two
-  // freshly computed cells (their journal lines are already flushed).
-  const std::string dir = temp_dir("interrupted");
-  int computed = 0;
-  EXPECT_THROW(
-      (void)run_to_dir(spec, dir, 2, false,
-                       [&computed](const CellResult& cell) {
-                         if (!cell.reused && ++computed == 2)
-                           throw std::runtime_error("simulated interrupt");
-                       }),
-      std::runtime_error);
-  ASSERT_TRUE(fs::exists(dir + "/manifest.jsonl"));
-  EXPECT_FALSE(fs::exists(dir + "/results.jsonl"));
+  for (const int threads : {2, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    // Simulate an interrupt: abort from the progress callback after two
+    // freshly computed cells (their journal lines are already flushed).
+    const std::string dir = temp_dir("interrupted" + std::to_string(threads));
+    int computed = 0;
+    EXPECT_THROW(
+        (void)run_to_dir(spec, dir, threads,
+                         [&computed](const CellResult& cell) {
+                           if (!cell.reused && ++computed == 2)
+                             throw std::runtime_error("simulated interrupt");
+                         }),
+        std::runtime_error);
+    ASSERT_TRUE(fs::exists(dir + "/manifest.jsonl"));
+    EXPECT_FALSE(fs::exists(dir + "/results.jsonl"));
 
-  // Resume: the two journaled cells are reused, the rest recomputed.
+    // Resume: the two journaled cells are reused, the rest recomputed.
+    CampaignConfig config;
+    config.runner.threads = threads;
+    config.out_dir = dir;
+    CampaignRunner runner(spec, config);
+    const CampaignOutcome outcome = runner.run();
+    EXPECT_EQ(outcome.reused, 2U);
+    EXPECT_EQ(outcome.computed, 2U);
+    EXPECT_EQ(read_file(outcome.results_json_path), full.results_json);
+    EXPECT_EQ(read_file(outcome.results_csv_path), full.results_csv);
+    EXPECT_EQ(read_file(outcome.meta_path), full.meta);
+    EXPECT_EQ(read_file(outcome.manifest_path), full.manifest);
+  }
+}
+
+TEST(CampaignDeterminism, ProgressSeesCellsInCellOrder) {
+  // At threads 8 the queue overlaps all four cells, yet progress arrives
+  // strictly in cell order — on a fresh run, and on a resume where the
+  // reused cells (every other one) take their place between computed ones.
+  const CampaignSpec spec = tiny_spec();
+  const std::string dir = temp_dir("progress_order");
+  std::vector<std::size_t> seen;
+  const auto record_order = [&seen](const CellResult& cell) {
+    seen.push_back(cell.cell.index);
+  };
+  const ArtifactBytes full = run_to_dir(spec, dir, 8, record_order);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3}));
+
+  halve_manifest(dir, full.manifest);
+
+  seen.clear();
+  std::vector<bool> reused;
   CampaignConfig config;
-  config.runner.threads = 2;
+  config.runner.threads = 8;
   config.out_dir = dir;
-  CampaignRunner runner(spec, config);
-  const CampaignOutcome outcome = runner.run();
-  EXPECT_EQ(outcome.reused, 2U);
-  EXPECT_EQ(outcome.computed, 2U);
+  const CampaignOutcome outcome =
+      CampaignRunner(spec, config).run([&](const CellResult& cell) {
+        seen.push_back(cell.cell.index);
+        reused.push_back(cell.reused);
+      });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(reused, (std::vector<bool>{true, false, true, false}));
   EXPECT_EQ(read_file(outcome.results_json_path), full.results_json);
-  EXPECT_EQ(read_file(outcome.results_csv_path), full.results_csv);
-  EXPECT_EQ(read_file(outcome.meta_path), full.meta);
-  EXPECT_EQ(read_file(outcome.manifest_path), full.manifest);
+}
+
+TEST(CampaignDeterminism, RunRecordsEqualRunCellAtOneThread) {
+  // The queue and run_cell are one executor; over static and churn cells,
+  // with and without selected metrics, run()'s records at threads 8 equal
+  // each cell computed alone at threads 1.
+  CampaignSpec with_metrics = tiny_spec();
+  with_metrics.metrics = {MetricKind::kTxHistogram,
+                          MetricKind::kInformedLatency};
+  for (const CampaignSpec& spec : {tiny_spec(), with_metrics}) {
+    CampaignConfig config;
+    config.runner.threads = 8;
+    const CampaignOutcome outcome = CampaignRunner(spec, config).run();
+    ASSERT_EQ(outcome.cells.size(), 4U);
+    RunnerConfig one;
+    one.threads = 1;
+    for (const CellResult& cell : outcome.cells)
+      EXPECT_EQ(cell.record.to_line(),
+                CampaignRunner::run_cell(spec, cell.cell, one).to_line())
+          << cell.cell.key;
+  }
 }
 
 TEST(CampaignDeterminism, DeletingManifestLinesReproducesTheExactFiles) {
@@ -557,16 +625,7 @@ TEST(CampaignDeterminism, DeletingManifestLinesReproducesTheExactFiles) {
   const std::string dir = temp_dir("halved");
   const ArtifactBytes full = run_to_dir(spec, dir, 2);
 
-  // Delete every other record line from the manifest (keep the header).
-  std::istringstream manifest(full.manifest);
-  std::ofstream rewrite(dir + "/manifest.jsonl", std::ios::trunc);
-  std::string line;
-  int record_index = 0;
-  while (std::getline(manifest, line)) {
-    const bool header = line.find("\"fingerprint\"") != std::string::npos;
-    if (header || record_index++ % 2 == 0) rewrite << line << "\n";
-  }
-  rewrite.close();
+  halve_manifest(dir, full.manifest);
 
   CampaignConfig config;
   config.runner.threads = 2;
