@@ -14,11 +14,15 @@
 ///    incremental informed-alive bookkeeping;
 ///  - whole broadcast_trials sweeps per scheme at batch 0 / 4 / 32: one
 ///    row for every rung of the batched engine's kernel ladder (classic,
-///    bitmask, sequential fallback) against the plain sequential driver;
+///    bitmask, sequential fallback) against the plain sequential driver,
+///    and a sequential row for every other scheme;
+///  - the channel sampler alone: Rng::sample_distinct_small in ns per call
+///    at the (degree, choices) pairs the schemes and campaigns use;
 ///  - generator throughput: configuration_model and random_regular_simple
 ///    from sparse (d = 8) to near-complete (n = 130, d = 128) rows.
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdio>
@@ -155,6 +159,55 @@ void bench_generators(bench::BenchReport& json) {
   }
 }
 
+/// Channel-sampler cost in ns per call (the "sampler" phase): one
+/// Rng::sample_distinct_small(n, k) per call, the draw every node makes
+/// every round. (8, 4) is four-choice at d = 8, (8, 1) the single-choice
+/// schemes, (10, 4) and (34, 4) the campaign degrees, and (100, 4) the
+/// prefix-scan path above 64. Each rep times kCalls calls on the row's
+/// seed stream; a row reports the median of kReps reps with min and max.
+void bench_sampler(bench::BenchReport& json) {
+  const bench::Phase phase(json, "sampler");
+  constexpr int kReps = 5;
+  constexpr int kCalls = 1 << 21;
+  const std::pair<std::uint32_t, std::size_t> rows[] = {
+      {8, 4}, {10, 4}, {8, 1}, {34, 4}, {100, 4}};
+  for (const auto& [n, k] : rows) {
+    Rng rng(21);
+    std::array<std::uint32_t, 64> buf{};
+    std::uint64_t sink = 0;
+    std::vector<double> ns;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto start = Clock::now();
+      for (int call = 0; call < kCalls; ++call) {
+        rng.sample_distinct_small(n, k, buf);
+        sink += buf[k - 1];
+      }
+      ns.push_back(
+          std::chrono::duration<double, std::nano>(Clock::now() - start)
+              .count() /
+          kCalls);
+    }
+    // The volatile store keeps the sampled values live.
+    const volatile std::uint64_t keep = sink;
+    (void)keep;
+    std::sort(ns.begin(), ns.end());
+    const double median = ns[ns.size() / 2];
+    const std::string name =
+        "sampler/" + std::to_string(n) + "/k" + std::to_string(k);
+    std::printf("%-40s %5d reps   %9.2f ns/call  [%.2f, %.2f]\n",
+                name.c_str(), kReps, median, ns.front(), ns.back());
+    json.row()
+        .set("name", name)
+        .set("n", static_cast<std::uint64_t>(n))
+        .set("k", static_cast<std::uint64_t>(k))
+        .set("reps", kReps)
+        .set("calls", kCalls)
+        .set("ns_per_call", median)
+        .set("ns_per_call_min", ns.front())
+        .set("ns_per_call_max", ns.back());
+  }
+}
+
 void run_all() {
   const NodeId n = 1 << 14;
   bench::BenchReport json("micro_engine");
@@ -257,16 +310,26 @@ void run_all() {
     // and sequentialised on the lane-by-lane sequential fallback. Each rep
     // times one whole sweep; a row reports the median of kReps reps with
     // min and max, so a reader can tell a gain from scheduler noise.
-    // Trial counts keep every sweep near a second on one core.
+    // Trial counts keep every sweep near a second on one core. The schemes
+    // without batched rows get the sequential row only, so every scheme's
+    // sequential path has one.
     constexpr int kReps = 5;
-    const std::pair<BroadcastScheme, int> sweeps[] = {
-        {BroadcastScheme::kPush, 64},
-        {BroadcastScheme::kPushPull, 64},
-        {BroadcastScheme::kFourChoice, 32},
-        {BroadcastScheme::kMedianCounter, 16},
-        {BroadcastScheme::kSequentialised, 8},
+    struct Sweep {
+      BroadcastScheme scheme;
+      int trials;
+      bool batched;
     };
-    for (const auto& [scheme, trials] : sweeps) {
+    const Sweep sweeps[] = {
+        {BroadcastScheme::kPush, 64, true},
+        {BroadcastScheme::kPushPull, 64, true},
+        {BroadcastScheme::kFourChoice, 32, true},
+        {BroadcastScheme::kMedianCounter, 16, true},
+        {BroadcastScheme::kSequentialised, 8, true},
+        {BroadcastScheme::kPull, 64, false},
+        {BroadcastScheme::kFixedHorizonPush, 64, false},
+        {BroadcastScheme::kThrottledPushPull, 32, false},
+    };
+    for (const auto& [scheme, trials, batched] : sweeps) {
       BroadcastOptions opt;
       opt.scheme = scheme;
       opt.seed = 0xbea7;
@@ -274,6 +337,7 @@ void run_all() {
       opt.runner.threads = 1;
       (void)broadcast_trials(g, opt);  // warmup
       for (const int batch : {0, 4, 32}) {
+        if (batch != 0 && !batched) break;
         opt.runner.batch = batch;
         std::vector<double> rates;
         double total_ms = 0.0;
@@ -308,6 +372,7 @@ void run_all() {
     }
   }
 
+  bench_sampler(json);
   bench_generators(json);
   json.write();
 }

@@ -14,6 +14,7 @@ ReplicatedDb::ReplicatedDb(const Graph& graph, ReplicatedDbConfig config)
       stores_(graph.num_nodes()) {
   RRB_REQUIRE(graph.num_nodes() >= 2, "replicated db needs >= 2 nodes");
   RRB_REQUIRE(config_.num_choices >= 1, "num_choices >= 1");
+  RRB_REQUIRE(config_.num_choices <= 64, "choices capped at 64");
 }
 
 UpdateId ReplicatedDb::put(NodeId origin, std::string key, std::string value) {

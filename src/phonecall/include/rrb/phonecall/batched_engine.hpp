@@ -228,10 +228,10 @@ class BatchedPhoneCallEngine {
   /// The bitmask kernel: hook-free protocol/observer lanes, uniform
   /// sampling (no quasirandom cursors, no memory rings), <= 64 lanes, and a
   /// fully-alive topology. Draw-for-draw identical to PhoneCallEngine —
-  /// the per-node sample loop is ChannelSampler::choose's
-  /// sample_distinct_small branch inlined verbatim (any drift breaks the
-  /// batched-vs-sequential bit-identity suite) — it only replaces per-lane
-  /// control flow with the PullInformed/push-word bit algebra above.
+  /// each lane's per-node sample is the same Rng::sample_distinct_small
+  /// call that ChannelSampler::choose's uniform branch makes — it only
+  /// replaces per-lane control flow with the PullInformed/push-word bit
+  /// algebra above.
   template <ProtocolImpl ProtocolT>
   std::vector<RunResult> run_bitmask(
       std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
@@ -592,23 +592,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_bitmask(
       for (const std::size_t b : active_) {
         const std::uint64_t bit = std::uint64_t{1} << b;
         Rng& rng = rngs[b];
-        // Inlined Rng::sample_distinct_small(d, take): rejection against
-        // the already-chosen prefix, in draw order.
-        for (std::size_t i = 0; i < take; ++i) {
-          NodeId candidate;
-          bool fresh;
-          do {
-            candidate = static_cast<NodeId>(rng.uniform_u64(d));
-            fresh = true;
-            for (std::size_t j = 0; j < i; ++j) {
-              if (choices[j] == candidate) {
-                fresh = false;
-                break;
-              }
-            }
-          } while (!fresh);
-          choices[i] = candidate;
-        }
+        rng.sample_distinct_small(d, take, choices);
         RoundStats& round = round_stats_[b];
         const bool push_here = (push_v & bit) != 0;
         const bool lane_pulls = (any_pull & bit) != 0;

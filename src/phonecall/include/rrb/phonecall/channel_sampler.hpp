@@ -84,23 +84,17 @@ class ChannelSampler {
   /// Choose the partners node v calls this round; writes neighbour *edge
   /// indices* into `out` and returns how many were chosen
   /// (min(num_choices, degree)). Draw order is pinned by golden tests.
+  /// Always inlined: the engines call it once per node per round, and left
+  /// to its heuristics the compiler keeps it out of the large round loop.
   template <typename TopologyT>
-  std::size_t choose(const TopologyT& topo, Rng& rng, NodeId v,
+  [[gnu::always_inline]] std::size_t choose(const TopologyT& topo, Rng& rng, NodeId v,
                      std::span<NodeId> out) {
     const NodeId d = detail::topo_degree(topo, v);
     if (d == 0) return 0;
     const auto k = static_cast<std::size_t>(config_.num_choices);
     const std::size_t take = std::min<std::size_t>(k, d);
 
-    if (config_.quasirandom) {
-      // Walk the neighbour list cyclically from the node's cursor.
-      if (cursor_[v] == kNoNode)
-        cursor_[v] = static_cast<NodeId>(rng.uniform_u64(d));
-      for (std::size_t i = 0; i < take; ++i)
-        out[i] = static_cast<NodeId>((cursor_[v] + i) % d);
-      cursor_[v] = static_cast<NodeId>((cursor_[v] + take) % d);
-      return take;
-    }
+    if (config_.quasirandom) return walk(rng, v, d, take, out);
 
     if (config_.memory == 0 || d <= take) {
       return rng.sample_distinct_small(d, take, out);
@@ -163,6 +157,12 @@ class ChannelSampler {
   [[nodiscard]] NodeId cursor(NodeId v) const { return cursor_[v]; }
 
  private:
+  /// The quasirandom walk: call the `take` neighbours after v's cursor.
+  /// Out of line (channel_sampler.cpp), which keeps the inlined choose()
+  /// small.
+  std::size_t walk(Rng& rng, NodeId v, NodeId d, std::size_t take,
+                   std::span<NodeId> out);
+
   ChannelConfig config_;
 
   // Memory rings: memory_[v * memory + j] = partner called `j+1` rounds ago

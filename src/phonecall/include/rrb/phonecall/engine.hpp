@@ -3,6 +3,7 @@
 #include <concepts>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "rrb/common/check.hpp"
@@ -50,6 +51,20 @@
 /// library's output contract (ROADMAP.md "seeding contract";
 /// tests/test_golden_results.cpp pins it). Any engine change must preserve
 /// the draw order exactly or every recorded experiment changes.
+///
+/// Silent channels cost only their draws. A channel carries a message only
+/// if its caller pushes or its callee pulls, so in a round where no node
+/// pulls, a caller that does not push still makes its choose() draws and
+/// one failure_prob draw per channel (counting channels_opened and
+/// channels_failed as usual) but skips the neighbour lookup, the callee's
+/// action load and the per-channel branches. Three gates keep the skip
+/// invisible, because each of them reads or records the callee w: the
+/// topology is a static GraphTopology (on a DynamicOverlay a dead callee
+/// counts as a failed channel), no set_failure_model predicate is
+/// installed, and ChannelConfig::memory is 0. The topology gate is
+/// compile-time, the other two are checked once per run. Draws and every
+/// RunResult field are unchanged (pinned by tests/test_engine.cpp,
+/// SilentChannelSkip).
 
 namespace rrb {
 
@@ -281,6 +296,12 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
   const bool has_failure_model = static_cast<bool>(failure_model_);
   const bool has_hook = static_cast<bool>(hook_);
   const bool has_memory = config_.memory > 0;
+  // The silent-channel skip rule (see the file comment): on a static graph
+  // with no failure predicate and no memory ring, nothing outside a
+  // channel's delivery reads its callee w.
+  constexpr bool kStaticGraph =
+      std::is_same_v<std::remove_const_t<TopologyT>, GraphTopology>;
+  const bool may_skip = kStaticGraph && !has_failure_model && !has_memory;
 
   Round t = 0;
   while (t < limits.max_rounds) {
@@ -293,6 +314,7 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
     round.t = t;
 
     // Phase A: compute actions for nodes informed before this round.
+    bool any_pull = false;
     for (NodeId v = 0; v < n; ++v) {
       if (!topo_->is_alive(v) || informed_at_[v] == kNever) {
         action_[v] = Action::kNone;
@@ -303,7 +325,9 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
       state.is_source = informed_at_[v] == 0;
       action_[v] = protocol.action(v, state, t);
       if (action_[v] != Action::kNone) ++round.transmitting_nodes;
+      any_pull |= does_pull(action_[v]);
     }
+    const bool skip_silent = may_skip && !any_pull;
 
     // Phase B: every alive node opens channels; transmissions happen on
     // the channel according to the caller's push action and the callee's
@@ -312,6 +336,15 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
     for (NodeId v = 0; v < n; ++v) {
       if (!topo_->is_alive(v)) continue;
       const std::size_t k = sampler_.choose(*topo_, *rng_, v, edge_choice);
+      const bool push_here = does_push(action_[v]);
+      if (skip_silent && !push_here) {
+        // No message can cross these channels: only their draws remain.
+        round.channels_opened += k;
+        if (has_failure_prob)
+          for (std::size_t i = 0; i < k; ++i)
+            if (rng_->bernoulli(config_.failure_prob)) ++round.channels_failed;
+        continue;
+      }
       for (std::size_t i = 0; i < k; ++i) {
         const NodeId edge_idx = edge_choice[i];
         const NodeId w = neighbor_of(v, edge_idx);
@@ -334,7 +367,6 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
           ++round.channels_failed;  // stale link during churn
           continue;
         }
-        const bool push_here = does_push(action_[v]);
         const bool pull_here = does_pull(action_[w]);
         if (!push_here && !pull_here) continue;
 

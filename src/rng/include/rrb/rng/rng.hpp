@@ -112,9 +112,11 @@ class Rng {
 
   /// Sample k distinct indices from [0, n) into a small fixed buffer,
   /// returning the number written (== k). Optimised for the phone call
-  /// model's k <= 8 choices out of a node's d neighbours: for tiny k it uses
-  /// rejection against the already-chosen prefix, which beats any set
-  /// structure.
+  /// model's k <= 8 choices out of a node's d neighbours: each index is
+  /// drawn with uniform_u64(n) and redrawn while it repeats an earlier
+  /// one. For n <= 64 the repeat test is one bit of a `seen` mask; larger n
+  /// scan the already-chosen prefix. Both paths make the same draws. Inline
+  /// (below): this is the channel sampler of every phone call engine.
   std::size_t sample_distinct_small(std::uint32_t n, std::size_t k,
                                     std::span<std::uint32_t> out);
 
@@ -144,6 +146,11 @@ class Rng {
   [[nodiscard]] Xoshiro256StarStar& engine() { return engine_; }
 
  private:
+  /// sample_distinct_small's path for n > 64. Out of line (rng.cpp) so the
+  /// inline mask path stays small inside the engines' round loops.
+  std::size_t sample_distinct_scan(std::uint32_t n, std::size_t k,
+                                   std::span<std::uint32_t> out);
+
   Xoshiro256StarStar engine_;
   std::uint64_t seed_;
 };
@@ -197,6 +204,25 @@ inline bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform_double() < p;
+}
+
+inline std::size_t Rng::sample_distinct_small(std::uint32_t n, std::size_t k,
+                                              std::span<std::uint32_t> out) {
+  RRB_REQUIRE(k <= n, "sample_distinct_small needs k <= n");
+  RRB_REQUIRE(out.size() >= k, "output buffer too small");
+  if (n <= 64) {
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      std::uint32_t candidate;
+      do {
+        candidate = static_cast<std::uint32_t>(uniform_u64(n));
+      } while (((seen >> candidate) & 1) != 0);
+      seen |= std::uint64_t{1} << candidate;
+      out[i] = candidate;
+    }
+    return k;
+  }
+  return sample_distinct_scan(n, k, out);
 }
 
 }  // namespace rrb

@@ -56,10 +56,8 @@ void Rng::sample_distinct(std::uint64_t n, std::size_t k,
   }
 }
 
-std::size_t Rng::sample_distinct_small(std::uint32_t n, std::size_t k,
-                                       std::span<std::uint32_t> out) {
-  RRB_REQUIRE(k <= n, "sample_distinct_small needs k <= n");
-  RRB_REQUIRE(out.size() >= k, "output buffer too small");
+std::size_t Rng::sample_distinct_scan(std::uint32_t n, std::size_t k,
+                                      std::span<std::uint32_t> out) {
   for (std::size_t i = 0; i < k; ++i) {
     std::uint32_t candidate;
     bool fresh;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "rrb/core/scheme_dispatch.hpp"
 #include "rrb/graph/generators.hpp"
 #include "rrb/metrics/observers.hpp"
 #include "rrb/phonecall/edge_ids.hpp"
@@ -466,6 +470,119 @@ TEST(GraphTopologyAdapter, ForwardsGraphAccessors) {
   EXPECT_TRUE(topo.is_alive(3));
   EXPECT_EQ(topo.degree(0), 2U);
   EXPECT_EQ(topo.neighbor(0, 0), g.neighbor(0, 0));
+}
+
+// ---- The silent-channel skip rule ------------------------------------------
+//
+// PhoneCallEngine skips the callee work of a silent channel only when no
+// set_failure_model predicate is installed. A predicate that never fires
+// changes no outcome but turns the skip off, so the two runs below make the
+// same draws, one on the plain path and one on the fast path. Any
+// difference in the RunResult, informed_at() or the RNG's next draw is a
+// skip-rule bug.
+
+struct ChainedRun {
+  RunResult result;
+  std::vector<Round> informed_at;
+  std::uint64_t next_draw = 0;
+};
+
+template <typename ObserverT>
+ChainedRun run_chained(const Graph& g, BroadcastScheme scheme,
+                       double failure_prob, bool plain, ObserverT& observers) {
+  BroadcastOptions opt;
+  opt.scheme = scheme;
+  opt.failure_prob = failure_prob;
+  return with_scheme(g, opt, [&](auto proto, const ChannelConfig& channel) {
+    Rng rng(0x5c1e47);
+    GraphTopology topo(g);
+    PhoneCallEngine<GraphTopology> engine(topo, channel, rng);
+    if (plain)
+      engine.set_failure_model([](Round, NodeId, NodeId) { return false; });
+    RunLimits limits;
+    limits.max_rounds = opt.max_rounds;
+    limits.record_rounds = true;
+    ChainedRun out;
+    out.result = engine.run(proto, NodeId{3}, limits, observers);
+    out.informed_at.assign(engine.informed_at().begin(),
+                           engine.informed_at().end());
+    out.next_draw = rng.next_u64();
+    return out;
+  });
+}
+
+void expect_chained_eq(const ChainedRun& fast, const ChainedRun& plain) {
+  const RunResult& a = fast.result;
+  const RunResult& b = plain.result;
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.completion_round, b.completion_round);
+  EXPECT_EQ(a.push_tx, b.push_tx);
+  EXPECT_EQ(a.pull_tx, b.pull_tx);
+  EXPECT_EQ(a.channels_opened, b.channels_opened);
+  EXPECT_EQ(a.channels_failed, b.channels_failed);
+  EXPECT_EQ(a.final_informed, b.final_informed);
+  EXPECT_EQ(a.alive_at_end, b.alive_at_end);
+  EXPECT_EQ(a.all_informed, b.all_informed);
+  ASSERT_EQ(a.per_round.size(), b.per_round.size());
+  for (std::size_t i = 0; i < a.per_round.size(); ++i) {
+    SCOPED_TRACE("round " + std::to_string(i + 1));
+    const RoundStats& x = a.per_round[i];
+    const RoundStats& y = b.per_round[i];
+    EXPECT_EQ(x.t, y.t);
+    EXPECT_EQ(x.informed, y.informed);
+    EXPECT_EQ(x.newly_informed, y.newly_informed);
+    EXPECT_EQ(x.push_tx, y.push_tx);
+    EXPECT_EQ(x.pull_tx, y.pull_tx);
+    EXPECT_EQ(x.channels_opened, y.channels_opened);
+    EXPECT_EQ(x.channels_failed, y.channels_failed);
+    EXPECT_EQ(x.transmitting_nodes, y.transmitting_nodes);
+  }
+  EXPECT_EQ(fast.informed_at, plain.informed_at);
+  EXPECT_EQ(fast.next_draw, plain.next_draw);
+}
+
+Graph skip_rule_graph() {
+  Rng grng(0x5c1e);
+  return random_regular_simple(512, 8, grng);
+}
+
+TEST(SilentChannelSkip, AllSchemesMatchThePlainPath) {
+  const Graph g = skip_rule_graph();
+  for (const BroadcastScheme scheme : kAllSchemes) {
+    for (const double failure_prob : {0.0, 0.05}) {
+      SCOPED_TRACE(std::string(scheme_name(scheme)) +
+                   " fp=" + std::to_string(failure_prob));
+      detail::NoMetrics none;
+      const ChainedRun fast =
+          run_chained(g, scheme, failure_prob, /*plain=*/false, none);
+      const ChainedRun plain =
+          run_chained(g, scheme, failure_prob, /*plain=*/true, none);
+      expect_chained_eq(fast, plain);
+    }
+  }
+}
+
+TEST(SilentChannelSkip, ObserverStackSeesThePlainPathStreams) {
+  using Stack = ObserverSet<RoundStatsObserver, TxHistogramObserver,
+                            InformedLatencyObserver>;
+  const Graph g = skip_rule_graph();
+  for (const BroadcastScheme scheme : kAllSchemes) {
+    SCOPED_TRACE(scheme_name(scheme));
+    Stack fast_obs;
+    Stack plain_obs;
+    const ChainedRun fast =
+        run_chained(g, scheme, 0.05, /*plain=*/false, fast_obs);
+    const ChainedRun plain =
+        run_chained(g, scheme, 0.05, /*plain=*/true, plain_obs);
+    expect_chained_eq(fast, plain);
+    EXPECT_EQ(fast_obs.get<RoundStatsObserver>().rounds().size(),
+              plain_obs.get<RoundStatsObserver>().rounds().size());
+    EXPECT_EQ(fast_obs.get<TxHistogramObserver>().sends(),
+              plain_obs.get<TxHistogramObserver>().sends());
+    EXPECT_EQ(fast_obs.get<InformedLatencyObserver>().latencies(),
+              plain_obs.get<InformedLatencyObserver>().latencies());
+  }
 }
 
 }  // namespace

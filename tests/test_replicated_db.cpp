@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "rrb/graph/generators.hpp"
 
@@ -25,6 +26,20 @@ TEST(ReplicatedDb, SingleUpdateConverges) {
     ASSERT_NE(val, nullptr);
     EXPECT_EQ(*val, "hello");
   }
+}
+
+// step() writes each node's choices into a 64-entry buffer, so the
+// constructor must refuse more choices, as PhoneCallEngine's does.
+TEST(ReplicatedDb, RejectsMoreThan64Choices) {
+  const Graph g = complete(70);  // degree 69 > 64
+  ReplicatedDbConfig config;
+  config.num_choices = 65;
+  EXPECT_THROW(ReplicatedDb(g, config), std::logic_error);
+  config.num_choices = 64;
+  ReplicatedDb db(g, config);
+  db.put(0, "k", "v");
+  db.step();
+  EXPECT_EQ(db.channels_opened(), Count{70} * 64);
 }
 
 TEST(ReplicatedDb, GetMissingKeyIsNull) {

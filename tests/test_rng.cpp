@@ -9,6 +9,8 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 namespace rrb {
@@ -238,6 +240,66 @@ TEST(Rng, SampleDistinctSmallMarginalsAreUniform) {
   }
   for (const int c : counts)
     EXPECT_NEAR(static_cast<double>(c) / kDraws, 0.5, 0.02);
+}
+
+// ---- sample_distinct_small against its frozen prefix-scan form -------------
+//
+// The channel sampler's draws are part of every recorded experiment. The
+// library's sampler tests repeats against a `seen` mask for n <= 64; this is
+// the prefix-scan form it replaced, kept verbatim so the two can be compared
+// output for output and draw for draw.
+std::size_t frozen_sample_distinct_small(Rng& rng, std::uint32_t n,
+                                         std::size_t k,
+                                         std::span<std::uint32_t> out) {
+  for (std::size_t i = 0; i < k; ++i) {
+    std::uint32_t candidate;
+    bool fresh;
+    do {
+      candidate = static_cast<std::uint32_t>(rng.uniform_u64(n));
+      fresh = true;
+      for (std::size_t j = 0; j < i; ++j) {
+        if (out[j] == candidate) {
+          fresh = false;
+          break;
+        }
+      }
+    } while (!fresh);
+    out[i] = candidate;
+  }
+  return k;
+}
+
+/// Runs 10^4 calls of both samplers on twin streams; after each call the
+/// outputs and the streams' next draws must agree.
+void expect_sampler_matches_frozen(std::uint32_t n, std::size_t k) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+  const std::uint64_t seed = derive_seed(0x5a3b1e, (std::uint64_t{n} << 8) | k);
+  Rng live(seed);
+  Rng frozen(seed);
+  std::array<std::uint32_t, 64> got{};
+  std::array<std::uint32_t, 64> want{};
+  for (int call = 0; call < 10000; ++call) {
+    ASSERT_EQ(live.sample_distinct_small(n, k, got), k);
+    frozen_sample_distinct_small(frozen, n, k, want);
+    ASSERT_TRUE(std::equal(got.begin(), got.begin() + k, want.begin()))
+        << "call " << call;
+    ASSERT_EQ(live.next_u64(), frozen.next_u64()) << "call " << call;
+  }
+}
+
+TEST(SampleDistinctSmallEquivalence, MaskPathEveryNUpTo64) {
+  for (std::uint32_t n = 1; n <= 64; ++n)
+    for (std::size_t k = 1; k <= std::min<std::size_t>(n, 8); ++k)
+      expect_sampler_matches_frozen(n, k);
+}
+
+TEST(SampleDistinctSmallEquivalence, ScanPathAbove64) {
+  for (const std::uint32_t n : {65U, 100U, 1000U})
+    for (std::size_t k = 1; k <= 8; ++k) expect_sampler_matches_frozen(n, k);
+}
+
+TEST(SampleDistinctSmallEquivalence, KEqualsNUpTo16) {
+  for (std::uint32_t n = 1; n <= 16; ++n) expect_sampler_matches_frozen(n, n);
 }
 
 TEST(RngFork, KeyedOnSeedAndStreamOnly) {
