@@ -19,7 +19,10 @@
 ///  - the channel sampler alone: Rng::sample_distinct_small in ns per call
 ///    at the (degree, choices) pairs the schemes and campaigns use;
 ///  - generator throughput: configuration_model and random_regular_simple
-///    from sparse (d = 8) to near-complete (n = 130, d = 128) rows.
+///    from sparse (d = 8) to near-complete (n = 130, d = 128) rows, and
+///    bigtopo's chunked_configuration_model at E18's density point
+///    (n = 2^19, d = 19) for chunks = 1 (inline) and chunks = 0 (one batch
+///    per canonical chunk on the shared pool).
 
 #include <algorithm>
 #include <array>
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "rrb/bigtopo/bigtopo.hpp"
 #include "rrb/core/broadcast.hpp"
 #include "rrb/p2p/churn.hpp"
 
@@ -89,10 +93,18 @@ void report(bench::BenchReport& json, const std::string& name,
       .set("tx", t.tx);
 }
 
+/// bigtopo's configuration model with the chunks knob fixed; the seed is
+/// one draw from the row's stream.
+template <int Chunks>
+Graph chunked_cm(NodeId n, NodeId d, Rng& rng) {
+  return bigtopo::chunked_configuration_model(
+      {.n = n, .d = d, .seed = rng.next_u64(), .chunks = Chunks});
+}
+
 /// Generator throughput in nodes/s (the "generators" phase). Each rep
 /// draws graphs from the row's seed stream until kRepMs of wall time has
 /// passed (at least one graph); a row reports the median of kReps reps
-/// with min and max. Both generators make a fixed sequence of draws per
+/// with min and max. Every generator makes a fixed sequence of draws per
 /// graph, so every capture of a row generates the same graphs.
 void bench_generators(bench::BenchReport& json) {
   const bench::Phase phase(json, "generators");
@@ -104,6 +116,7 @@ void bench_generators(bench::BenchReport& json) {
     Generator generate;
     NodeId n;
     NodeId d;
+    const char* variant = "";  ///< name suffix for a knob setting
   };
   const GenRow gen_rows[] = {
       {"configuration_model", configuration_model, 1U << 14, 8},
@@ -112,6 +125,10 @@ void bench_generators(bench::BenchReport& json) {
       {"random_regular_simple", random_regular_simple, 1U << 17, 8},
       {"random_regular_simple", random_regular_simple, 1U << 17, 34},
       {"random_regular_simple", random_regular_simple, 130, 128},
+      {"chunked_configuration_model", chunked_cm<1>, 1U << 19, 19,
+       "/chunks1"},
+      {"chunked_configuration_model", chunked_cm<0>, 1U << 19, 19,
+       "/chunks0"},
   };
   for (const GenRow& row : gen_rows) {
     Rng rng(13);
@@ -141,8 +158,8 @@ void bench_generators(bench::BenchReport& json) {
         (std::has_single_bit(row.n)
              ? "2^" + std::to_string(std::countr_zero(row.n))
              : std::to_string(row.n)) +
-        "/d" + std::to_string(row.d);
-    std::printf("%-40s %5d graphs %9.2f ms  %12.4g nodes/s  "
+        "/d" + std::to_string(row.d) + row.variant;
+    std::printf("%-50s %5d graphs %9.2f ms  %12.4g nodes/s  "
                 "[%.4g, %.4g]\n",
                 name.c_str(), graphs, total_ms, median, rates.front(),
                 rates.back());

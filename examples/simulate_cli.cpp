@@ -86,9 +86,11 @@ void usage() {
       "               overlay variant (degree d + in-degree).\n"
       "  --chunks C   execution batches for the chunked generators "
       "(default 0 =\n"
-      "               one per canonical chunk). Scheduling only: the "
-      "graph bytes\n"
-      "               are identical for every C.\n"
+      "               one per canonical chunk; 1 = one batch, inline). "
+      "Batches run\n"
+      "               on min(batches, $RRB_THREADS or cores) workers. "
+      "Scheduling\n"
+      "               only: the graph bytes are identical for every C.\n"
       "  --protocol SCHEME  a canonical scheme name (see --list-schemes) "
       "or one of\n"
       "               the aliases push-pull, median, seq\n"

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "rrb/common/check.hpp"
+#include "rrb/common/runner_config.hpp"
 #include "rrb/rng/rng.hpp"
 #include "rrb/telemetry/telemetry.hpp"
 
@@ -84,6 +85,38 @@ void validate_order(NodeId n, std::span<const NodeId> order) {
   RRB_REQUIRE(chunks >= 0, "bigtopo: chunks must be >= 0");
   if (chunks == 0 || static_cast<std::size_t>(chunks) >= total) return total;
   return static_cast<std::size_t>(chunks);
+}
+
+/// Run per_chunk(c) for every canonical chunk c of `order`, batch b taking
+/// its contiguous share of the order. Batches run concurrently on the
+/// shared pool with min(batches, automatic thread count) workers — one
+/// batch runs inline — so per_chunk must write only chunk-owned bytes.
+template <typename PerChunk>
+void for_each_batch(std::span<const NodeId> order, int chunks,
+                    const PerChunk& per_chunk) {
+  const std::size_t batches = num_batches(order.size(), chunks);
+  parallel_for(static_cast<int>(batches), resolve_threads(RunnerConfig{}),
+               [&](int b) {
+                 const auto batch = static_cast<std::size_t>(b);
+                 const std::size_t begin = batch * order.size() / batches;
+                 const std::size_t end = (batch + 1) * order.size() / batches;
+                 for (std::size_t i = begin; i < end; ++i) per_chunk(order[i]);
+               });
+}
+
+/// Sort every adjacency row of the canonical chunks in `order` — Graph's
+/// sorted-list invariant, and the step that makes bucket order (random-out)
+/// invisible. Rows are disjoint, so the batches sort concurrently.
+void sort_rows(NodeId n, std::span<const NodeId> order, int chunks,
+               const std::vector<Count>& offsets,
+               std::vector<NodeId>& adjacency) {
+  for_each_batch(order, chunks, [&](NodeId c) {
+    const ChunkRange range = canonical_chunk_range(n, c);
+    for (NodeId v = range.begin; v < range.end; ++v)
+      std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+                adjacency.begin() +
+                    static_cast<std::ptrdiff_t>(offsets[v + 1]));
+  });
 }
 
 /// RSS sample attached to a span's args — telemetry side channel only.
@@ -171,6 +204,10 @@ std::uint64_t StubPermutation::forward(std::uint64_t x) const {
 
 std::uint64_t StubPermutation::inverse(std::uint64_t y) const {
   RRB_REQUIRE(y < domain_, "StubPermutation::inverse: out of domain");
+  return walk_inverse(y);
+}
+
+std::uint64_t StubPermutation::walk_inverse(std::uint64_t y) const {
   std::uint64_t x = decrypt_once(y);
   while (x >= domain_) x = decrypt_once(x);
   return x;
@@ -202,10 +239,12 @@ Graph chunked_configuration_model(const ChunkedParams& params,
   telemetry::Span total_span("bigtopo", "config-model");
 
   // The pairing: stub s partners with the stub at the XOR-1 position of
-  // the permuted order. Each adjacency slot is slot-addressed (stub s of
-  // node v = offset v*d + j lands at CSR index v*d + j), so the fill below
-  // is a pure function of (seed, slot) — chunk grouping and execution
-  // order cannot change a byte.
+  // the permuted order, i.e. adjacency[s] = inverse(forward(s) ^ 1) / d.
+  // The fill walks permuted positions instead: each even position y pairs
+  // stubs a = inverse(y) and b = inverse(y ^ 1), written from both ends at
+  // once, so every pair costs two inverse walks and no forward one. The
+  // permutation is a bijection, so every slot is written exactly once with
+  // the bytes the per-slot rule gives.
   const StubPermutation perm(
       derive_seed(params.seed, hash_string("bigtopo/pairing")), stubs);
 
@@ -216,35 +255,27 @@ Graph chunked_configuration_model(const ChunkedParams& params,
   std::vector<NodeId> adjacency(stubs);
 
   {
+    // Canonical chunk c owns the positions [begin·d, end·d) of its node
+    // range. Both bounds are even (kChunkNodes is even, n·d is even), so
+    // no pair straddles two chunks, and chunks write disjoint slots.
     telemetry::Span fill_span("bigtopo", "config-model/fill");
-    const std::size_t batches = num_batches(chunk_order.size(), params.chunks);
-    std::size_t next = 0;
-    for (std::size_t b = 0; b < batches; ++b) {
-      // Batch b takes its contiguous share of the execution order.
-      const std::size_t end =
-          ((b + 1) * chunk_order.size()) / batches;
-      for (; next < end; ++next) {
-        const ChunkRange range = canonical_chunk_range(n, chunk_order[next]);
-        for (NodeId v = range.begin; v < range.end; ++v) {
-          const std::uint64_t first = static_cast<std::uint64_t>(v) * d;
-          for (NodeId j = 0; j < d; ++j) {
-            const std::uint64_t partner =
-                perm.inverse(perm.forward(first + j) ^ 1);
-            adjacency[first + j] = static_cast<NodeId>(partner / d);
-          }
-        }
+    const std::uint64_t width = d;
+    for_each_batch(chunk_order, params.chunks, [&](NodeId c) {
+      const ChunkRange range = canonical_chunk_range(n, c);
+      const std::uint64_t end = range.end * width;
+      for (std::uint64_t y = range.begin * width; y < end; y += 2) {
+        const std::uint64_t a = perm.walk_inverse(y);
+        const std::uint64_t b = perm.walk_inverse(y + 1);
+        adjacency[a] = static_cast<NodeId>(b / width);
+        adjacency[b] = static_cast<NodeId>(a / width);
       }
-    }
+    });
     sample_rss(fill_span);
   }
 
   {
-    // Canonical per-node order: Graph guarantees sorted adjacency lists.
     telemetry::Span sort_span("bigtopo", "config-model/sort");
-    for (NodeId v = 0; v < n; ++v)
-      std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                adjacency.begin() +
-                    static_cast<std::ptrdiff_t>(offsets[v + 1]));
+    sort_rows(n, chunk_order, params.chunks, offsets, adjacency);
     sample_rss(sort_span);
   }
 
@@ -321,13 +352,9 @@ Graph chunked_random_out(const ChunkedParams& params,
 
   {
     // Bucket order depends on the chunk execution order; sorting each
-    // bucket canonicalises the bytes (and satisfies Graph's sorted-list
-    // invariant), making the output order-independent.
+    // bucket canonicalises the bytes, making the output order-independent.
     telemetry::Span sort_span("bigtopo", "random-out/sort");
-    for (NodeId v = 0; v < n; ++v)
-      std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                adjacency.begin() +
-                    static_cast<std::ptrdiff_t>(offsets[v + 1]));
+    sort_rows(n, chunk_order, params.chunks, offsets, adjacency);
     sample_rss(sort_span);
   }
 

@@ -32,8 +32,17 @@
 /// user-facing `ChunkedParams::chunks` only groups canonical chunks into
 /// execution batches; like thread counts and shard splits everywhere else
 /// in this repo, chunking is scheduling, never semantics: the produced
-/// graph is byte-identical for every chunk count and every chunk execution
-/// order (pinned in tests/test_bigtopo.cpp).
+/// graph is byte-identical for every chunk count, every chunk execution
+/// order and every thread count (pinned in tests/test_bigtopo.cpp).
+///
+/// Batches run concurrently on the library's one worker pool
+/// (rrb::parallel_for, rrb/common/runner_config.hpp) with
+/// min(batches, resolve_threads(RunnerConfig{})) workers — the
+/// `RunnerConfig::threads = 0` resolution: $RRB_THREADS when set, else one
+/// per hardware core. `chunks = 1` is one batch and runs inline on the
+/// calling thread. The configuration model's fill and both generators'
+/// per-node row sorts run batched this way; chunked_random_out's count and
+/// fill passes share the offset cursors and stay sequential.
 ///
 /// Two generators are provided:
 ///  - chunked_configuration_model: the paper's §1.2 pairing model, exact
@@ -45,7 +54,13 @@
 ///    (StubPermutation): stub s is matched with the stub occupying the
 ///    adjacent position in the permuted order. Each adjacency slot is then
 ///    a pure function of (seed, slot) — trivially chunk-count- and
-///    order-independent, with zero scratch.
+///    order-independent, with zero scratch. The fill walks ranges of
+///    *permuted positions*: canonical chunk c owns the positions
+///    [c·kChunkNodes·d, min((c+1)·kChunkNodes·d, n·d)), and each even
+///    position y writes both ends of the pair (inverse(y), inverse(y ^ 1)).
+///    The range bounds are even, so no pair straddles two chunks, and the
+///    permutation is a bijection, so chunks write disjoint slots and run
+///    concurrently.
 ///  - chunked_random_out: each node draws d out-partners from its canonical
 ///    chunk's Rng(chunk_seed(seed, c)) stream; the undirected union has
 ///    irregular degrees, so the CSR is assembled by the classical two-pass
@@ -81,6 +96,8 @@ struct ChunkRange {
 };
 [[nodiscard]] ChunkRange canonical_chunk_range(NodeId n, NodeId chunk_id);
 
+struct ChunkedParams;
+
 /// Seed-keyed pseudorandom permutation of [0, domain): a balanced Feistel
 /// network over the enclosing power-of-two domain with cycle-walking back
 /// into [0, domain). Stateless and O(1) per evaluation in both directions —
@@ -101,6 +118,12 @@ class StubPermutation {
   [[nodiscard]] std::uint64_t inverse(std::uint64_t y) const;
 
  private:
+  /// inverse() without the domain check, for the configuration model's
+  /// fill loop, whose positions are in range by construction.
+  [[nodiscard]] std::uint64_t walk_inverse(std::uint64_t y) const;
+  friend Graph chunked_configuration_model(
+      const ChunkedParams& params, std::span<const NodeId> chunk_order);
+
   [[nodiscard]] std::uint64_t encrypt_once(std::uint64_t x) const;
   [[nodiscard]] std::uint64_t decrypt_once(std::uint64_t y) const;
 
@@ -120,7 +143,9 @@ struct ChunkedParams {
   std::uint64_t seed = 0;
 
   /// Execution batches the canonical chunks are grouped into; 0 = one batch
-  /// per canonical chunk. Scheduling only — never semantics.
+  /// per canonical chunk, 1 = one batch run inline on the calling thread.
+  /// Batches run concurrently on min(batches, automatic thread count)
+  /// workers. Scheduling only — never semantics.
   int chunks = 0;
 
   /// Refuse (RRB_REQUIRE) to generate when the estimated peak exceeds this

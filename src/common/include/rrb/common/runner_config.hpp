@@ -1,12 +1,15 @@
 #pragma once
 
+#include <functional>
+
 /// \file runner_config.hpp
-/// Scheduling knobs for the parallel trial runner (rrb/sim/runner.hpp).
+/// Scheduling knobs for the parallel trial runner (rrb/sim/runner.hpp),
+/// and the one worker pool every parallel loop in the library runs on.
 ///
-/// The struct lives in common — below every other module — so that option
+/// Both live in common — below every other module — so that option
 /// structs anywhere in the stack (TrialConfig, TraceConfig,
-/// BroadcastOptions) can embed it without depending on sim, where the
-/// worker pool itself is implemented.
+/// BroadcastOptions) can embed the knobs, and modules below sim (bigtopo)
+/// can share the pool, without depending on sim.
 
 namespace rrb {
 
@@ -39,5 +42,21 @@ struct RunnerConfig {
   /// trial (GraphFactory sweeps, campaign cells, traces) ignore it.
   int batch = 0;
 };
+
+/// Worker threads a pool built from `config` would use, before capping by
+/// the number of tasks: config.threads when positive, else $RRB_THREADS
+/// when set to a positive integer, else one per hardware core (minimum 1).
+[[nodiscard]] int resolve_threads(const RunnerConfig& config);
+
+/// Invoke task(i) once for every i in [0, tasks) on up to `workers`
+/// threads that claim the next index off a shared counter; with
+/// workers <= 1 (or a single task) every call runs inline on the calling
+/// thread, in index order. task runs on several threads at once and must
+/// only touch index-local state. When tasks throw, no further index is
+/// claimed, the pool drains, and the exception of the lowest index that
+/// threw is rethrown. Indices are claimed in ascending order and a
+/// claimed index always runs, so that is the lowest throwing index
+/// overall, whatever the schedule.
+void parallel_for(int tasks, int workers, const std::function<void(int)>& task);
 
 }  // namespace rrb

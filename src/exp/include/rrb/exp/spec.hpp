@@ -131,9 +131,11 @@ struct CampaignSpec {
   double churn_headroom = 0.5;  ///< overlay slot capacity = n * (1 + this)
 
   /// Execution batches for the chunked family (bigtopo::ChunkedParams::
-  /// chunks; 0 = one batch per canonical chunk). Scheduling, never
-  /// semantics: not part of cell keys, describe() or the fingerprint —
-  /// the generated graphs are byte-identical for every value.
+  /// chunks; 0 = one batch per canonical chunk, 1 = one batch run inline).
+  /// Batches run concurrently on min(batches, automatic thread count)
+  /// workers inside the campaign worker that builds the graph. Scheduling,
+  /// never semantics: not part of cell keys, describe() or the
+  /// fingerprint — the generated graphs are byte-identical for every value.
   int chunks = 0;
 
   // ---- Metrics. Registry metrics (rrb/metrics/registry.hpp) collected

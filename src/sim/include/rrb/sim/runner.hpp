@@ -31,10 +31,10 @@ class ParallelRunner {
   explicit ParallelRunner(RunnerConfig config = {});
 
   /// Worker threads a pool built from `config` would use, before capping
-  /// by the number of tasks: config.threads when positive, else
-  /// $RRB_THREADS when set to a positive integer, else one per hardware
-  /// core (minimum 1).
-  [[nodiscard]] static int resolve_threads(const RunnerConfig& config);
+  /// by the number of tasks: rrb::resolve_threads (runner_config.hpp).
+  [[nodiscard]] static int resolve_threads(const RunnerConfig& config) {
+    return rrb::resolve_threads(config);
+  }
 
   /// Trials claimed per scheduling task: config.chunk when positive, else
   /// ceil(trials / (4 · resolve_threads())) — about four chunks per
@@ -53,14 +53,11 @@ class ParallelRunner {
   [[nodiscard]] std::pair<int, int> chunk_bounds(int index, int trials) const;
 
   /// Invoke fn(chunk_index, begin, end) once per chunk, concurrently on up
-  /// to resolve_threads() workers (inline on the calling thread when one
-  /// worker suffices). fn runs on multiple threads at once and must only
-  /// touch chunk-local state. If chunks throw, the remaining chunks are
-  /// abandoned, the pool drains, and the exception of the lowest-indexed
-  /// chunk that ran and threw is rethrown. Note *which* chunks run before
-  /// the abort flag is observed is schedule-dependent, so with several
-  /// concurrent failures the rethrown exception can differ between runs;
-  /// with threads = 1 it is always the first failing chunk.
+  /// to resolve_threads() workers via rrb::parallel_for (inline on the
+  /// calling thread when one worker suffices). fn runs on multiple threads
+  /// at once and must only touch chunk-local state. If chunks throw, the
+  /// remaining chunks are abandoned, the pool drains, and the exception of
+  /// the lowest-indexed failing chunk is rethrown.
   void for_each_chunk(int trials,
                       const std::function<void(int, int, int)>& fn) const;
 

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "rrb/core/broadcast.hpp"
@@ -180,6 +181,49 @@ TEST(BigtopoConfigModel, MatchesEdgeListPairingReference) {
   EXPECT_EQ(graph_digest(chunked), graph_digest(reference));
   EXPECT_EQ(chunked.num_self_loops(), reference.num_self_loops());
   EXPECT_EQ(chunked.num_parallel_extra(), reference.num_parallel_extra());
+}
+
+// The fill walks permuted positions and writes each pair from both ends;
+// the definition is per slot: adjacency[s] = inverse(forward(s) ^ 1) / d.
+// Odd d and a partial last chunk put pairs next to every chunk boundary,
+// and every batching and a reversed order must land each row on the
+// definition's sorted multiset.
+TEST(BigtopoConfigModel, MatchesPerSlotDefinitionAcrossChunks) {
+  ChunkedParams params{.n = 2 * kChunkNodes + 778, .d = 3, .seed = 0xb18};
+  const std::uint64_t stubs =
+      static_cast<std::uint64_t>(params.n) * params.d;
+  const StubPermutation perm(
+      derive_seed(params.seed, hash_string("bigtopo/pairing")), stubs);
+  std::vector<NodeId> expected(stubs);
+  for (std::uint64_t s = 0; s < stubs; ++s)
+    expected[s] =
+        static_cast<NodeId>(perm.inverse(perm.forward(s) ^ 1) / params.d);
+  for (NodeId v = 0; v < params.n; ++v) {
+    const auto row = expected.begin() +
+                     static_cast<std::ptrdiff_t>(std::uint64_t{v} * params.d);
+    std::sort(row, row + params.d);
+  }
+
+  const auto check = [&](const Graph& g, const std::string& label) {
+    ASSERT_EQ(g.num_nodes(), params.n) << label;
+    for (NodeId v = 0; v < params.n; ++v) {
+      const auto row = g.neighbors(v);
+      const auto want = expected.begin() +
+                        static_cast<std::ptrdiff_t>(std::uint64_t{v} * params.d);
+      ASSERT_TRUE(std::equal(row.begin(), row.end(), want, want + params.d))
+          << label << ": row " << v;
+    }
+  };
+  for (const int chunks : {0, 1, 17}) {
+    params.chunks = chunks;
+    check(chunked_configuration_model(params),
+          "chunks=" + std::to_string(chunks));
+  }
+  params.chunks = 0;
+  std::vector<NodeId> order(num_canonical_chunks(params.n));
+  std::iota(order.begin(), order.end(), NodeId{0});
+  std::reverse(order.begin(), order.end());
+  check(chunked_configuration_model(params, order), "reversed order");
 }
 
 // Golden digest: the full CSR of a fixed (n, d, seed) is pinned. Any change

@@ -14,8 +14,10 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "rrb/common/runner_config.hpp"
 #include "rrb/core/broadcast.hpp"
 #include "rrb/graph/generators.hpp"
 #include "rrb/protocols/baselines.hpp"
@@ -76,6 +78,46 @@ TEST(Runner, RejectsNegativeConfig) {
   bad.threads = 0;
   bad.chunk = -2;
   EXPECT_THROW(ParallelRunner{bad}, std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// The shared pool (rrb::parallel_for) the runner and bigtopo both run on.
+
+TEST(RunnerPool, OneWorkerRunsInlineInIndexOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> ran;
+  parallel_for(8, 1, [&](int index) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ran.push_back(index);
+  });
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(RunnerPool, FourWorkersRunEveryIndexExactlyOnce) {
+  constexpr int kTasks = 1000;
+  std::vector<std::atomic<int>> hits(kTasks);
+  parallel_for(kTasks, 4, [&](int index) {
+    ASSERT_GE(index, 0);
+    ASSERT_LT(index, kTasks);
+    ++hits[static_cast<std::size_t>(index)];
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(RunnerPool, LowestThrowingIndexIsRethrown) {
+  // Indices are claimed in ascending order and a claimed index always
+  // runs, so the lowest throwing index wins under every schedule.
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    try {
+      parallel_for(64, 4, [](int index) {
+        if (index == 9 || index == 17 || index == 40 || index == 63)
+          throw std::runtime_error("task " + std::to_string(index));
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 9") << "attempt " << attempt;
+    }
+  }
 }
 
 class RunnerThreadGrid : public ::testing::TestWithParam<int> {};
