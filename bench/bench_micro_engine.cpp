@@ -16,6 +16,9 @@
 ///    row for every rung of the batched engine's kernel ladder (classic,
 ///    bitmask, sequential fallback) against the plain sequential driver,
 ///    and a sequential row for every other scheme;
+///  - push and push-pull sweeps at E18's density point (bigtopo's chunked
+///    configuration model at n = 2^19, d = 19), sequential and B = 4: the
+///    classic kernel on a CSR far larger than L2;
 ///  - the channel sampler alone: Rng::sample_distinct_small in ns per call
 ///    at the (degree, choices) pairs the schemes and campaigns use;
 ///  - generator throughput: configuration_model and random_regular_simple
@@ -225,6 +228,69 @@ void bench_sampler(bench::BenchReport& json) {
   }
 }
 
+/// One trials/* row: kReps timed broadcast_trials sweeps of `opt` on `g`,
+/// reported as the median trials/s with min and max, so a reader can tell
+/// a gain from scheduler noise. The name is trials/<scheme><graph>/<batch>
+/// (seq for batch 0).
+void bench_trials_row(bench::BenchReport& json, const Graph& g,
+                      const BroadcastOptions& opt, const std::string& graph) {
+  constexpr int kReps = 5;
+  std::vector<double> rates;
+  double total_ms = 0.0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto start = Clock::now();
+    (void)broadcast_trials(g, opt);
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+    total_ms += ms;
+    rates.push_back(opt.trials / (ms / 1000.0));
+  }
+  std::sort(rates.begin(), rates.end());
+  const double median = rates[rates.size() / 2];
+  const int batch = opt.runner.batch;
+  const std::string name =
+      std::string("trials/") + scheme_name(opt.scheme) + graph +
+      (batch == 0 ? "/seq" : "/B" + std::to_string(batch));
+  std::printf("%-28s %5d reps   %9.2f ms  %12.1f trials/s  [%.1f, %.1f]\n",
+              name.c_str(), kReps, total_ms, median, rates.front(),
+              rates.back());
+  json.row()
+      .set("name", name)
+      .set("batch", batch)
+      .set("trials", opt.trials)
+      .set("reps", kReps)
+      .set("wall_ms", total_ms)
+      .set("trials_per_sec", median)
+      .set("trials_per_sec_min", rates.front())
+      .set("trials_per_sec_max", rates.back());
+}
+
+/// trials/{push,push-pull}/2^19/d19/{seq,B4}: E18's density point
+/// (bench_e18_density, perfbench's large-n-push) on bigtopo's chunked
+/// configuration model, a 40 MB CSR far past L2, where the classic
+/// kernel's round loop is latency-bound on the CSR. One thread, 4 trials
+/// per sweep, so B4 is one lane group.
+void bench_e18_trials(bench::BenchReport& json) {
+  const bench::Phase phase(json, "e18_trials");
+  const NodeId n = NodeId{1} << 19;
+  const Graph g = bigtopo::chunked_configuration_model(
+      {.n = n, .d = 19, .seed = 0xe18, .chunks = 0});
+  for (const BroadcastScheme scheme :
+       {BroadcastScheme::kPush, BroadcastScheme::kPushPull}) {
+    BroadcastOptions opt;
+    opt.scheme = scheme;
+    opt.seed = 0xbea7;
+    opt.trials = 4;
+    opt.runner.threads = 1;
+    (void)broadcast_trials(g, opt);  // warmup
+    for (const int batch : {0, 4}) {
+      opt.runner.batch = batch;
+      bench_trials_row(json, g, opt, "/2^19/d19");
+    }
+  }
+}
+
 void run_all() {
   const NodeId n = 1 << 14;
   bench::BenchReport json("micro_engine");
@@ -325,12 +391,10 @@ void run_all() {
     // so the rows measure pure scheduling). push and push-pull land on the
     // classic kernel, four-choice on the bitmask kernel, median-counter
     // and sequentialised on the lane-by-lane sequential fallback. Each rep
-    // times one whole sweep; a row reports the median of kReps reps with
-    // min and max, so a reader can tell a gain from scheduler noise.
-    // Trial counts keep every sweep near a second on one core. The schemes
-    // without batched rows get the sequential row only, so every scheme's
-    // sequential path has one.
-    constexpr int kReps = 5;
+    // times one whole sweep (see bench_trials_row). Trial counts keep
+    // every sweep near a second on one core. The schemes without batched
+    // rows get the sequential row only, so every scheme's sequential path
+    // has one.
     struct Sweep {
       BroadcastScheme scheme;
       int trials;
@@ -356,38 +420,12 @@ void run_all() {
       for (const int batch : {0, 4, 32}) {
         if (batch != 0 && !batched) break;
         opt.runner.batch = batch;
-        std::vector<double> rates;
-        double total_ms = 0.0;
-        for (int rep = 0; rep < kReps; ++rep) {
-          const auto start = Clock::now();
-          (void)broadcast_trials(g, opt);
-          const double ms =
-              std::chrono::duration<double, std::milli>(Clock::now() - start)
-                  .count();
-          total_ms += ms;
-          rates.push_back(trials / (ms / 1000.0));
-        }
-        std::sort(rates.begin(), rates.end());
-        const double median = rates[rates.size() / 2];
-        const std::string name =
-            std::string("trials/") + scheme_name(scheme) +
-            (batch == 0 ? "/seq" : "/B" + std::to_string(batch));
-        std::printf("%-28s %5d reps   %9.2f ms  %12.1f trials/s  "
-                    "[%.1f, %.1f]\n",
-                    name.c_str(), kReps, total_ms, median, rates.front(),
-                    rates.back());
-        json.row()
-            .set("name", name)
-            .set("batch", batch)
-            .set("trials", trials)
-            .set("reps", kReps)
-            .set("wall_ms", total_ms)
-            .set("trials_per_sec", median)
-            .set("trials_per_sec_min", rates.front())
-            .set("trials_per_sec_max", rates.back());
+        bench_trials_row(json, g, opt, "");
       }
     }
   }
+
+  bench_e18_trials(json);
 
   bench_sampler(json);
   bench_generators(json);

@@ -26,9 +26,9 @@
 /// memory once per trial and is latency-bound. BatchedPhoneCallEngine
 /// restructures the sweep as lockstep lanes: per round, one sequential scan
 /// over the nodes serves every lane — the degree and neighbour lookups for
-/// node v are fetched once and stay cache-hot across all B lanes, and the
-/// per-lane round state is packed into lane bitmasks so the lane loop for a
-/// node touches one cache line.
+/// node v (in the classic kernel, for a block of nodes) are fetched once
+/// and stay cache-hot across all B lanes, and the per-lane round state is
+/// packed into lane bitmasks.
 ///
 /// Determinism: batching is scheduling, never semantics. Lane i runs on its
 /// own Rng — the caller derives it as Rng(seed).fork(i) per the seeding
@@ -43,7 +43,9 @@
 /// Kernel ladder, chosen per lane group by batched_kernel_for() below:
 ///  1. classic — state-oblivious protocols (kActionIgnoresState: push,
 ///     pull, push&pull, fixed-horizon) with one reliable call per round:
-///     per-lane transposed informed bitmaps, no per-node action scan;
+///     per-lane transposed informed bitmaps, no per-node action scan, and
+///     one cache-blocked sweep per round that fuses each lane's draws with
+///     its deliveries;
 ///  2. bitmask — any other hook-free protocol and observer: per-node
 ///     push/pull/informed lane masks and the inlined uniform sampler;
 ///  3. sequential — everything the lockstep kernels cannot model runs lane
@@ -225,6 +227,11 @@ class BatchedPhoneCallEngine {
   };
   static_assert(sizeof(PullInformed) == 16);
 
+  /// Nodes per block of the classic kernel's sweep. A block's working set
+  /// is about kClassicBlock x (one 64-byte CSR line + a 4-byte offset)
+  /// ~ 0.55 MB, so it fits a 2 MB per-core L2 at any degree.
+  static constexpr NodeId kClassicBlock = NodeId{1} << 13;
+
   /// The bitmask kernel: hook-free protocol/observer lanes, uniform
   /// sampling (no quasirandom cursors, no memory rings), <= 64 lanes, and a
   /// fully-alive topology. Draw-for-draw identical to PhoneCallEngine —
@@ -240,16 +247,35 @@ class BatchedPhoneCallEngine {
   /// The classical-scheme kernel: state-oblivious protocols (push / pull /
   /// push&pull / fixed-horizon) with one reliable call per round. Lane
   /// state is a transposed bitmap — lane b's informed set is W = ceil(n/64)
-  /// words, bit v = node v — so the per-delivery "is the partner informed"
-  /// test and update touch a 2KB L1-resident strip instead of a node-major
-  /// array scaled by the batch width, a push-only round walks exactly the
-  /// informed nodes by word-skipping, and there is no per-node action scan
-  /// at all (one action() call per lane fixes the round). Draw-for-draw
-  /// identical to the sequential engine, like run_bitmask.
+  /// words, bit v = node v, n/8 bytes per lane — and there is no per-node
+  /// action scan at all (one action() call per lane fixes the round).
+  ///
+  /// A round is one cache-blocked sweep: the outer loop walks blocks of
+  /// kClassicBlock nodes, and inside a block every active lane makes one
+  /// fused pass (classic_block) that draws each node's callee and delivers
+  /// at once. A block's offsets and CSR rows (~0.55 MB whatever the degree)
+  /// stay in L2, so only the first lane streams them from memory; the
+  /// lanes after it re-read them from cache. Each lane still draws once per
+  /// non-isolated node, nodes ascending, on its own stream, so the kernel
+  /// is draw-for-draw identical to the sequential engine, like run_bitmask.
+  /// A pass works on a local copy of the lane's Rng, written back at the
+  /// end: the bitmap stores are uint64_t like the xoshiro state, so through
+  /// the caller's Rng the compiler would reload and store that state around
+  /// every draw.
   template <ProtocolImpl ProtocolT>
   std::vector<RunResult> run_classic(
       std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
       std::span<Rng> rngs, const RunLimits& limits);
+
+  /// One lane's pass of the classic sweep over nodes [lo, hi): each
+  /// non-isolated node draws its callee and delivers against the lane's
+  /// round-start snapshot `snap` into its live bitmap `bits`. kPush/kPull
+  /// are the lane's action this round (neither: a draw-only pass). Returns
+  /// how many nodes the pass informed.
+  template <bool kPush, bool kPull>
+  Count classic_block(NodeId lo, NodeId hi, Rng& lane_rng,
+                      std::uint64_t* bits, const std::uint64_t* snap,
+                      RoundStats& round) const;
 
   /// Lane bookkeeping shared by the two lockstep kernels, in
   /// PhoneCallEngine's exact order so the RunResults come out identical.
@@ -306,8 +332,10 @@ class BatchedPhoneCallEngine {
   std::vector<PullInformed> pi_;
 
   // Classic kernel only: concatenated per-lane informed bitmaps
-  // (live_bits_[b * W + v/64] bit v%64) and the round-start snapshot of the
-  // lane currently being advanced.
+  // (live_bits_[b * W + v/64] bit v%64), which deliveries update, and one
+  // round-start snapshot per lane in the same layout, which transmissions
+  // read. Every lane needs its own snapshot because the blocked sweep
+  // interleaves the lanes across node blocks.
   std::vector<std::uint64_t> live_bits_;
   std::vector<std::uint64_t> start_bits_;
 
@@ -315,8 +343,6 @@ class BatchedPhoneCallEngine {
   std::vector<Count> newly_count_;       // per lane, reset each round
   std::vector<RoundStats> round_stats_;  // per lane, the current round
   std::vector<std::size_t> active_;      // lanes still running, ascending
-
-  std::vector<NodeId> choice_buf_;  // classic kernel: per-node callee draws
 };
 
 template <Topology TopologyT>
@@ -628,7 +654,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_classic(
   const std::size_t W = (static_cast<std::size_t>(n) + 63) / 64;
 
   live_bits_.assign(lanes * W, 0);
-  start_bits_.assign(W, 0);
+  start_bits_.assign(lanes * W, 0);
   std::vector<RunResult> results = start_lanes(protocols, sources);
   for (std::size_t b = 0; b < lanes; ++b)
     live_bits_[b * W + (sources[b] >> 6)] |= std::uint64_t{1}
@@ -641,7 +667,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_classic(
   for (NodeId v = 0; v < n; ++v)
     if (detail::topo_degree(*topo_, v) != 0) ++channels_per_round;
 
-  choice_buf_.resize(n);
+  Action actions[64];  // this round's action per lane; lanes <= 64 here
 
   Round t = 0;
   while (!active_.empty() && t < limits.max_rounds) {
@@ -655,71 +681,42 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_classic(
       state.informed_at = 0;
       state.is_source = true;
       const Action a = protocols[b]->action(NodeId{0}, state, t);
-      if (a != Action::kNone)
-        round_stats_[b].transmitting_nodes = informed_alive_[b];
-      const bool pushes = does_push(a);
-      const bool pulls = does_pull(a);
-
-      // Draw sweep: every node with a neighbour draws its callee exactly as
-      // ChannelSampler::choose would, whether or not anything is delivered
-      // this round — the stream must advance identically.
-      Rng& rng = rngs[b];
-      for (NodeId v = 0; v < n; ++v) {
-        const NodeId d = detail::topo_degree(*topo_, v);
-        if (d == 0) continue;  // choose() draws nothing for isolated nodes
-        choice_buf_[v] = static_cast<NodeId>(rng.uniform_u64(d));
-      }
-      if (!pushes && !pulls) continue;  // e.g. fixed-horizon past its horizon
-
-      std::uint64_t* const lane_bits = live_bits_.data() + b * W;
+      actions[b] = a;
+      if (a == Action::kNone) continue;  // e.g. fixed-horizon past its horizon
+      round_stats_[b].transmitting_nodes = informed_alive_[b];
       // Transmissions read the round-start informed set: a node informed
       // mid-round neither pushes nor answers pulls until the next round.
-      std::copy(lane_bits, lane_bits + W, start_bits_.begin());
-      RoundStats& round = round_stats_[b];
+      const std::uint64_t* const lane_bits = live_bits_.data() + b * W;
+      std::copy(lane_bits, lane_bits + W, start_bits_.data() + b * W);
+    }
 
-      const auto inform = [&](NodeId u) {
-        std::uint64_t& word = lane_bits[u >> 6];
-        const std::uint64_t ubit = std::uint64_t{1} << (u & 63);
-        if ((word & ubit) == 0) {
-          word |= ubit;
-          ++informed_alive_[b];
-          ++newly_count_[b];
+    // The blocked sweep. Lanes interleave across blocks, but each lane
+    // still visits its nodes in ascending order, so its draws are the
+    // sequential engine's; deliveries draw nothing, and the inform updates
+    // are set unions whose order within a round does not matter.
+    for (NodeId lo = 0, hi = 0; lo < n; lo = hi) {
+      hi = n - lo > kClassicBlock ? lo + kClassicBlock : n;
+      for (const std::size_t b : active_) {
+        std::uint64_t* const bits = live_bits_.data() + b * W;
+        const std::uint64_t* const snap = start_bits_.data() + b * W;
+        RoundStats& round = round_stats_[b];
+        const Action a = actions[b];
+        Count newly = 0;
+        if (does_pull(a)) {
+          newly = does_push(a)
+                      ? classic_block<true, true>(lo, hi, rngs[b], bits,
+                                                  snap, round)
+                      : classic_block<false, true>(lo, hi, rngs[b], bits,
+                                                   snap, round);
+        } else if (does_push(a)) {
+          newly = classic_block<true, false>(lo, hi, rngs[b], bits, snap,
+                                             round);
+        } else {
+          (void)classic_block<false, false>(lo, hi, rngs[b], bits, snap,
+                                            round);
         }
-      };
-
-      if (pushes && !pulls) {
-        // Deliveries originate only at informed nodes: walk the set bits of
-        // the snapshot (node-ascending), skipping empty 64-node words —
-        // early rounds touch a handful of nodes instead of all n.
-        for (std::size_t wi = 0; wi < W; ++wi) {
-          for (std::uint64_t rem = start_bits_[wi]; rem != 0;
-               rem &= rem - 1) {
-            const auto v = static_cast<NodeId>(
-                (wi << 6) + static_cast<std::size_t>(std::countr_zero(rem)));
-            const NodeId d = detail::topo_degree(*topo_, v);
-            if (d == 0) continue;  // opened no channel
-            const NodeId w = detail::topo_neighbor(*topo_, v, choice_buf_[v]);
-            ++round.push_tx;
-            inform(w);
-          }
-        }
-      } else {
-        // A pulling lane delivers on every opened channel whose partner is
-        // informed, so every non-isolated node's call matters.
-        for (NodeId v = 0; v < n; ++v) {
-          const NodeId d = detail::topo_degree(*topo_, v);
-          if (d == 0) continue;  // opened no channel
-          const NodeId w = detail::topo_neighbor(*topo_, v, choice_buf_[v]);
-          if (pushes &&
-              (start_bits_[v >> 6] >> (v & 63) & std::uint64_t{1}) != 0) {
-            ++round.push_tx;
-            inform(w);
-          }
-          if ((start_bits_[w >> 6] >> (w & 63) & std::uint64_t{1}) != 0) {
-            ++round.pull_tx;
-            inform(v);
-          }
-        }
+        informed_alive_[b] += newly;
+        newly_count_[b] += newly;
       }
     }
 
@@ -727,6 +724,58 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_classic(
   }
   finish_lanes(results, t);
   return results;
+}
+
+template <Topology TopologyT>
+template <bool kPush, bool kPull>
+Count BatchedPhoneCallEngine<TopologyT>::classic_block(
+    NodeId lo, NodeId hi, Rng& lane_rng, std::uint64_t* bits,
+    const std::uint64_t* snap, RoundStats& round) const {
+  // The lane's Rng and counters live in locals for the pass, so no bitmap
+  // store can alias them (see run_classic).
+  Rng rng = lane_rng;
+  Count push_tx = 0;
+  Count pull_tx = 0;
+  Count newly = 0;
+  const auto informed_at_start = [snap](NodeId u) {
+    return (snap[u >> 6] >> (u & 63) & std::uint64_t{1}) != 0;
+  };
+  const auto inform = [bits, &newly](NodeId u) {
+    std::uint64_t& word = bits[u >> 6];
+    newly += (word >> (u & 63) & std::uint64_t{1}) ^ std::uint64_t{1};
+    word |= std::uint64_t{1} << (u & 63);
+  };
+  for (NodeId v = lo; v < hi; ++v) {
+    const NodeId d = detail::topo_degree(*topo_, v);
+    if (d == 0) continue;  // choose() draws nothing for isolated nodes
+    // The draw ChannelSampler::choose makes for one uniform call, whether
+    // or not anything is delivered: the stream must advance identically.
+    const auto c = static_cast<NodeId>(rng.uniform_u64(d));
+    if constexpr (kPull) {
+      // A pulling lane delivers on every opened channel whose partner is
+      // informed, so every non-isolated node's call matters.
+      const NodeId w = detail::topo_neighbor(*topo_, v, c);
+      if (kPush && informed_at_start(v)) {
+        ++push_tx;
+        inform(w);
+      }
+      if (informed_at_start(w)) {
+        ++pull_tx;
+        inform(v);
+      }
+    } else if constexpr (kPush) {
+      // Deliveries originate only at informed nodes: the uninformed ones
+      // draw and never touch their CSR row.
+      if (informed_at_start(v)) {
+        ++push_tx;
+        inform(detail::topo_neighbor(*topo_, v, c));
+      }
+    }
+  }
+  lane_rng = rng;
+  round.push_tx += push_tx;
+  round.pull_tx += pull_tx;
+  return newly;
 }
 
 }  // namespace rrb

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -486,6 +489,165 @@ TEST(BatchedKernelLadder, DeadNodesRunLaneByLaneBitIdentically) {
     const RunResult sequential = engine.run(proto, sources[i], limits);
     EXPECT_EQ(sequential.alive_at_end, g.num_nodes() - 1);
     expect_run_eq(results[i], sequential);
+  }
+}
+
+// ---- The classic kernel's blocked sweep across several node blocks --------
+
+/// The classic kernel sweeps nodes in blocks of 2^13, so the n <= 512
+/// graphs above never leave its first block. This graph spans three full
+/// blocks and a ragged tail, n is not a multiple of 64, and with `isolated`
+/// a few nodes (block edges, the last word, the last node) lose every edge
+/// and so draw nothing.
+Graph multi_block_graph(bool isolated) {
+  constexpr NodeId kN = 3 * 8192 + 777;  // 25353 = 396 * 64 + 9
+  Rng grng(0xb10c5);
+  const Graph g = random_regular_simple(kN, 4, grng);
+  if (!isolated) return g;
+  const NodeId cut[] = {0, 8191, 8192, 16384, kN - 9, kN - 1};
+  const auto is_cut = [&](NodeId v) {
+    return std::find(std::begin(cut), std::end(cut), v) != std::end(cut);
+  };
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v < kN; ++v)
+    for (const NodeId w : g.neighbors(v))
+      if (v < w && !is_cut(v) && !is_cut(w)) edges.push_back({v, w});
+  return Graph::from_edges(kN, edges);
+}
+
+/// Fixed-horizon push that keeps running after its horizon: its lanes turn
+/// draw-only (action kNone, every draw still made) until max_rounds.
+class PastHorizonPush : public FixedHorizonPush {
+ public:
+  using FixedHorizonPush::FixedHorizonPush;
+  [[nodiscard]] bool finished(Round /*t*/, Count /*informed*/,
+                              Count /*alive*/) const {
+    return false;
+  }
+};
+
+/// Runs lane protocols lane_protos[0..B) batched on the classic kernel for
+/// each B in `batches` (sources spread over every block, lane i on
+/// Rng(seed).fork(i)) and compares every lane's RunResult and next draw
+/// with a PhoneCallEngine run of the same trial. Returns the sequential
+/// results of lanes 0..max(batches).
+template <typename ProtocolT>
+std::vector<RunResult> expect_classic_lanes_match(
+    const Graph& g, std::initializer_list<std::size_t> batches,
+    const RunLimits& limits, const std::vector<ProtocolT>& lane_protos) {
+  const GraphTopology topo(g);
+  const ChannelConfig channel;
+  constexpr std::uint64_t kSeed = 0xb10c50;
+  const auto source_of = [&](std::size_t i) {
+    return static_cast<NodeId>((1 + 7919 * i) % g.num_nodes());
+  };
+
+  const std::size_t max_lanes = std::max(batches);
+  EXPECT_LE(max_lanes, lane_protos.size());
+  std::vector<RunResult> sequential;
+  std::vector<std::uint64_t> next_draw;
+  for (std::size_t i = 0; i < max_lanes; ++i) {
+    Rng rng = Rng(kSeed).fork(i);
+    ProtocolT proto = lane_protos[i];
+    GraphTopology seq_topo(g);
+    PhoneCallEngine<GraphTopology> engine(seq_topo, channel, rng);
+    sequential.push_back(engine.run(proto, source_of(i), limits));
+    next_draw.push_back(rng.next_u64());
+  }
+
+  for (const std::size_t lanes : batches) {
+    SCOPED_TRACE("B=" + std::to_string(lanes));
+    EXPECT_EQ(batched_kernel_name(
+                  batched_kernel_for<ProtocolT, detail::NoMetrics>(
+                      channel, lanes, topo)
+                      .kernel),
+              batched_kernel_name(BatchedKernel::kClassic));
+    std::vector<ProtocolT> protos(lane_protos.begin(),
+                                  lane_protos.begin() + lanes);
+    std::vector<ProtocolT*> proto_ptrs;
+    std::vector<NodeId> sources;
+    std::vector<Rng> rngs;
+    for (std::size_t i = 0; i < lanes; ++i) {
+      proto_ptrs.push_back(&protos[i]);
+      sources.push_back(source_of(i));
+      rngs.push_back(Rng(kSeed).fork(i));
+    }
+    BatchedPhoneCallEngine<GraphTopology> batched(topo, channel);
+    const std::vector<RunResult> results =
+        batched.run(std::span<ProtocolT* const>(proto_ptrs),
+                    std::span<const NodeId>(sources), std::span<Rng>(rngs),
+                    limits);
+    EXPECT_EQ(results.size(), lanes);
+    for (std::size_t i = 0; i < std::min(lanes, results.size()); ++i) {
+      SCOPED_TRACE("lane " + std::to_string(i));
+      expect_run_eq(results[i], sequential[i]);
+      EXPECT_EQ(rngs[i].next_u64(), next_draw[i]);
+    }
+  }
+  return sequential;
+}
+
+/// True when the runs did not all stop in the same round.
+bool rounds_differ(const std::vector<RunResult>& runs) {
+  const auto [lo, hi] = std::minmax_element(
+      runs.begin(), runs.end(),
+      [](const RunResult& a, const RunResult& b) {
+        return a.rounds < b.rounds;
+      });
+  return lo->rounds != hi->rounds;
+}
+
+TEST(BatchedClassicBlocks, LanesStopInDifferentRounds) {
+  const Graph g = multi_block_graph(false);
+  RunLimits limits;
+  limits.record_rounds = true;
+  {
+    SCOPED_TRACE("push");
+    EXPECT_TRUE(rounds_differ(expect_classic_lanes_match(
+        g, {1, 4}, limits, std::vector<PushProtocol>(4))));
+  }
+  {
+    SCOPED_TRACE("pull");
+    EXPECT_TRUE(rounds_differ(expect_classic_lanes_match(
+        g, {1, 4}, limits, std::vector<PullProtocol>(4))));
+  }
+  {
+    SCOPED_TRACE("push-pull");
+    EXPECT_TRUE(rounds_differ(expect_classic_lanes_match(
+        g, {1, 4, 64}, limits, std::vector<PushPullProtocol>(64))));
+  }
+}
+
+TEST(BatchedClassicBlocks, IsolatedNodesAndDrawOnlyLanesTruncate) {
+  // With isolated nodes no lane can inform everyone, so every lane runs to
+  // max_rounds; the past-horizon lanes go draw-only at staggered rounds.
+  const Graph g = multi_block_graph(true);
+  for (NodeId v : {NodeId{0}, NodeId{8192}, g.num_nodes() - 1})
+    ASSERT_EQ(g.degree(v), 0U);
+  RunLimits limits;
+  limits.record_rounds = true;
+  limits.max_rounds = 14;
+  {
+    SCOPED_TRACE("fixed-horizon past its horizon");
+    std::vector<PastHorizonPush> horizons;
+    for (std::size_t i = 0; i < 64; ++i)
+      horizons.emplace_back(static_cast<Round>(1 + i % 13));
+    expect_classic_lanes_match(g, {1, 4, 64}, limits, horizons);
+  }
+  {
+    SCOPED_TRACE("push");
+    expect_classic_lanes_match(g, {1, 4}, limits,
+                               std::vector<PushProtocol>(4));
+  }
+  {
+    SCOPED_TRACE("pull");
+    expect_classic_lanes_match(g, {1, 4}, limits,
+                               std::vector<PullProtocol>(4));
+  }
+  {
+    SCOPED_TRACE("push-pull");
+    expect_classic_lanes_match(g, {1, 4}, limits,
+                               std::vector<PushPullProtocol>(4));
   }
 }
 
