@@ -19,6 +19,9 @@
 ///  - push and push-pull sweeps at E18's density point (bigtopo's chunked
 ///    configuration model at n = 2^19, d = 19), sequential and B = 4: the
 ///    classic kernel on a CSR far larger than L2;
+///  - median-counter sweeps on G(2^16, 8), sequential and B = 2:
+///    fixed-graph-sweep's median-counter point, where the protocol's
+///    per-node round state is most of the working set;
 ///  - the channel sampler alone: Rng::sample_distinct_small in ns per call
 ///    at the (degree, choices) pairs the schemes and campaigns use;
 ///  - generator throughput: configuration_model and random_regular_simple
@@ -291,6 +294,26 @@ void bench_e18_trials(bench::BenchReport& json) {
   }
 }
 
+/// trials/median-counter/2^16/d8/{seq,B2}: fixed-graph-sweep's
+/// median-counter point (perfbench: random_regular_simple G(2^16, 8),
+/// batch 2) at one thread, where the protocol's per-node round state is
+/// the working set. 4 trials per sweep, so B2 is two lane groups.
+void bench_median_counter_trials(bench::BenchReport& json) {
+  const bench::Phase phase(json, "median_counter_trials");
+  Rng grng(0x3ed1);
+  const Graph g = random_regular_simple(NodeId{1} << 16, 8, grng);
+  BroadcastOptions opt;
+  opt.scheme = BroadcastScheme::kMedianCounter;
+  opt.seed = 0xbea7;
+  opt.trials = 4;
+  opt.runner.threads = 1;
+  (void)broadcast_trials(g, opt);  // warmup
+  for (const int batch : {0, 2}) {
+    opt.runner.batch = batch;
+    bench_trials_row(json, g, opt, "/2^16/d8");
+  }
+}
+
 void run_all() {
   const NodeId n = 1 << 14;
   bench::BenchReport json("micro_engine");
@@ -426,6 +449,7 @@ void run_all() {
   }
 
   bench_e18_trials(json);
+  bench_median_counter_trials(json);
 
   bench_sampler(json);
   bench_generators(json);

@@ -8,6 +8,8 @@
 #include <iostream>
 #include <sstream>
 
+#include "rrb/common/check.hpp"
+
 namespace rrb::exp {
 
 namespace {
@@ -52,11 +54,13 @@ std::string json_escape(std::string_view text) {
 
 std::string format_double(double value) {
   if (!std::isfinite(value)) return "null";
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os.precision(17);
-  os << value;
-  return os.str();
+  // printf's %.17g in the C locale, whatever the host's LC_NUMERIC: the
+  // same bytes a classic-locale ostream at precision 17 writes.
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
+                                       std::chars_format::general, 17);
+  RRB_ASSERT(ec == std::errc{}, "format_double: buffer too small");
+  return std::string(buf, end);
 }
 
 std::optional<std::string_view> JsonObject::find_plain(

@@ -24,8 +24,8 @@ namespace {
 [[nodiscard]] std::vector<NodeId> paired_stubs(NodeId n, NodeId d, Rng& rng) {
   const std::uint64_t num_stubs = static_cast<std::uint64_t>(n) * d;
   std::vector<NodeId> stubs(num_stubs);
-  for (std::uint64_t s = 0; s < num_stubs; ++s)
-    stubs[s] = static_cast<NodeId>(s / d);
+  NodeId* stub = stubs.data();
+  for (NodeId v = 0; v < n; ++v) stub = std::fill_n(stub, d, v);
   rng.shuffle(std::span<NodeId>(stubs));
   return stubs;
 }
@@ -37,11 +37,13 @@ namespace {
 [[nodiscard]] std::vector<NodeId> sorted_rows(NodeId n, NodeId d,
                                               std::span<const NodeId> pairs) {
   std::vector<NodeId> rows(pairs.size());
-  std::vector<std::size_t> cursor(n);
-  for (NodeId v = 0; v < n; ++v) cursor[v] = static_cast<std::size_t>(v) * d;
+  std::vector<NodeId> filled(n, 0);  // slots of v's row written so far
+  const auto put = [&](NodeId v, NodeId w) {
+    rows[static_cast<std::size_t>(v) * d + filled[v]++] = w;
+  };
   for (std::size_t s = 0; s + 1 < pairs.size(); s += 2) {
-    rows[cursor[pairs[s]]++] = pairs[s + 1];
-    rows[cursor[pairs[s + 1]]++] = pairs[s];
+    put(pairs[s], pairs[s + 1]);
+    put(pairs[s + 1], pairs[s]);
   }
   for (std::size_t begin = 0; begin < rows.size(); begin += d)
     std::sort(rows.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -113,14 +115,21 @@ Graph random_regular_simple(NodeId n, NodeId d, Rng& rng) {
       return p + 1 != row_end(u) && p[1] == w;
     };
 
-    // The one full scan. A committed switch only creates pairs that were
-    // absent (multiplicity 0 -> 1) and only lowers the multiplicity of the
-    // pairs it removes, so an edge outside this list never becomes
-    // defective: every later rescan is a filter of the list, and yields
-    // exactly the ascending index list a full scan would.
+    // The one full scan. Only an edge whose first endpoint's row holds a
+    // repeat (a loop's two entries, or a pair's copies) can be defective,
+    // so one sequential pass over the rows spares it a row search per
+    // edge. A committed switch only creates pairs that were absent
+    // (multiplicity 0 -> 1) and only lowers the multiplicity of the pairs
+    // it removes, so an edge outside this list never becomes defective:
+    // every later rescan is a filter of the list, and yields exactly the
+    // ascending index list a full scan would.
+    std::vector<std::uint8_t> has_repeat(n);
+    for (NodeId v = 0; v < n; ++v)
+      has_repeat[v] =
+          std::adjacent_find(row_begin(v), row_end(v)) != row_end(v);
     std::vector<std::size_t> defects;
     for (std::size_t i = 0; i < num_edges; ++i)
-      if (is_defective(i)) defects.push_back(i);
+      if (has_repeat[pairs[2 * i]] && is_defective(i)) defects.push_back(i);
 
     // Iterate until defect-free. Each pass drops repaired edges from the
     // list and attempts random switches; the expected number of defects is

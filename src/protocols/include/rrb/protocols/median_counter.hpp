@@ -72,8 +72,7 @@ class MedianCounterProtocol {
     const std::size_t cnt = sample_count_[v];
     if (cnt < kMaxSamples) {
       if (cnt == 0) touched_.push_back(v);
-      samples_[static_cast<std::size_t>(v) * kMaxSamples + cnt] =
-          meta.counter;
+      if (meta.counter < ctr_[v]) ++below_[v];
       ++sample_count_[v];
     }
   }
@@ -93,9 +92,15 @@ class MedianCounterProtocol {
 
  private:
   // Per node: counter value, round state C was entered (kNever while in B),
-  // and the counters received during the current round (bounded buffer —
-  // the median over the first kMaxSamples received is statistically
-  // indistinguishable from the full median for the fan-ins we simulate).
+  // and two byte counters over the counters received during the current
+  // round: how many were received (capped at kMaxSamples — the median over
+  // the first kMaxSamples is statistically indistinguishable from the full
+  // median for the fan-ins we simulate) and how many of those were below
+  // ctr. The rule needs no more: the median of cnt samples (the (cnt/2)-th
+  // smallest) is >= ctr iff at most cnt/2 of them are below ctr. ctr only
+  // changes at first receipt, which precedes every sample of that round,
+  // and in on_round_start, so each sample is compared on arrival with the
+  // value the rule reads.
   static constexpr std::size_t kMaxSamples = 32;
 
   int ctr_max_ = 0;
@@ -105,7 +110,7 @@ class MedianCounterProtocol {
   std::vector<std::int32_t> ctr_;
   std::vector<Round> c_entered_;
   std::vector<std::uint8_t> sample_count_;
-  std::vector<std::int32_t> samples_;  // n * kMaxSamples, flat
+  std::vector<std::uint8_t> below_;    // samples this round below ctr_
   std::vector<NodeId> touched_;        // nodes with samples this round
   Count active_this_round_ = 0;        // nodes whose action was not kNone
 };

@@ -1,6 +1,5 @@
 #include "rrb/protocols/median_counter.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "rrb/common/check.hpp"
@@ -31,26 +30,21 @@ void MedianCounterProtocol::reset(NodeId n) {
   ctr_.assign(n, 0);
   c_entered_.assign(n, kNever);
   sample_count_.assign(n, 0);
-  samples_.assign(static_cast<std::size_t>(n) * kMaxSamples, 0);
+  below_.assign(n, 0);
   touched_.clear();
   active_this_round_ = 0;
 }
 
 void MedianCounterProtocol::on_round_start(Round /*t*/) {
   active_this_round_ = 0;
-  // Apply the median rule using the samples gathered last round, then clear.
+  // Apply the median rule to the samples gathered last round, then clear.
+  // Every touched node has ctr > 0 and at least one sample: a node is
+  // touched by its first recorded sample, and only nodes with ctr > 0
+  // record any.
   for (const NodeId v : touched_) {
-    const std::size_t cnt = sample_count_[v];
-    if (cnt == 0 || ctr_[v] == 0) {
-      sample_count_[v] = 0;
-      continue;
-    }
-    auto* first = samples_.data() + static_cast<std::size_t>(v) * kMaxSamples;
-    auto* last = first + cnt;
-    auto* mid = first + cnt / 2;
-    std::nth_element(first, mid, last);
-    if (*mid >= ctr_[v]) ++ctr_[v];
+    if (below_[v] <= sample_count_[v] / 2) ++ctr_[v];
     sample_count_[v] = 0;
+    below_[v] = 0;
   }
   touched_.clear();
 }

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <locale>
 #include <sstream>
+#include <vector>
+
+#include "rrb/rng/rng.hpp"
 
 namespace rrb::exp {
 namespace {
@@ -36,6 +42,59 @@ TEST(Artifact, FormatDoubleIsRoundTripExactAndCompact) {
   // Non-finite values have no JSON literal.
   EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(format_double(std::numeric_limits<double>::quiet_NaN()), "null");
+}
+
+/// format_double as it was written with a classic-locale ostream at
+/// precision 17: the reference its to_chars form must match byte for byte.
+std::string classic_stream_format(double value) {
+  if (!std::isfinite(value)) return "null";
+  std::ostringstream os;
+  os.imbue(std::locale::classic());
+  os.precision(17);
+  os << value;
+  return os.str();
+}
+
+TEST(FormatDouble, MatchesClassicLocaleStream) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                -1.0,
+                                0.1,
+                                1e16,
+                                1e17,
+                                123456789012345678.0,
+                                limits::max(),
+                                limits::lowest(),
+                                limits::min(),
+                                limits::denorm_min(),
+                                -limits::denorm_min(),
+                                limits::epsilon(),
+                                limits::infinity(),
+                                -limits::infinity(),
+                                limits::quiet_NaN()};
+  for (int i = -4096; i <= 4096; ++i) {
+    values.push_back(i);                  // integers
+    values.push_back(i / 8.0);            // exact binary fractions
+    values.push_back(i * 1e300);          // near the top of the range
+    values.push_back(i * 1e-300);         // near the bottom
+    values.push_back(i * limits::denorm_min());  // subnormals
+  }
+  Rng rng(0xf0a7);
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Random bit patterns cover every exponent, NaN payloads included.
+    values.push_back(std::bit_cast<double>(rng.next_u64()));
+  }
+  std::size_t mismatches = 0;
+  for (const double value : values) {
+    if (format_double(value) == classic_stream_format(value)) continue;
+    if (++mismatches <= 5)
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(value)
+                    << ": " << format_double(value)
+                    << " != " << classic_stream_format(value);
+  }
+  EXPECT_EQ(mismatches, 0U);
 }
 
 // ---- JsonObject ------------------------------------------------------------
