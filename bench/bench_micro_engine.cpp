@@ -13,9 +13,11 @@
 ///  - four-choice under churn on the dynamic overlay: round hook plus the
 ///    incremental informed-alive bookkeeping;
 ///  - whole broadcast_trials sweeps per scheme at batch 0 / 4 / 32: one
-///    row for every rung of the batched engine's kernel ladder (classic,
-///    bitmask, sequential fallback) against the plain sequential driver,
-///    and a sequential row for every other scheme;
+///    row for both rungs of the batched engine's kernel ladder (classic,
+///    sequential fallback) against the plain sequential driver, and a
+///    sequential row for every other scheme; plus push with channel
+///    failures (failure_prob 0.05) at batch 0 / 32, a channel the classic
+///    kernel refuses;
 ///  - push and push-pull sweeps at E18's density point (bigtopo's chunked
 ///    configuration model at n = 2^19, d = 19), sequential and B = 4: the
 ///    classic kernel on a CSR far larger than L2;
@@ -412,9 +414,9 @@ void run_all() {
     // the sequential driver versus B lockstep lanes over the shared
     // topology (outputs are bit-identical — see test_batched_engine.cpp —
     // so the rows measure pure scheduling). push and push-pull land on the
-    // classic kernel, four-choice on the bitmask kernel, median-counter
-    // and sequentialised on the lane-by-lane sequential fallback. Each rep
-    // times one whole sweep (see bench_trials_row). Trial counts keep
+    // classic kernel; four-choice, median-counter and sequentialised on
+    // the lane-by-lane sequential fallback. Each rep times one whole sweep
+    // (see bench_trials_row). Trial counts keep
     // every sweep near a second on one core. The schemes without batched
     // rows get the sequential row only, so every scheme's sequential path
     // has one.
@@ -445,6 +447,20 @@ void run_all() {
         opt.runner.batch = batch;
         bench_trials_row(json, g, opt, "");
       }
+    }
+
+    // trials/push/failure/{seq,B32}: i.i.d. channel failures send push's
+    // batched lanes to the sequential fallback ("failure_prob > 0").
+    BroadcastOptions failing;
+    failing.scheme = BroadcastScheme::kPush;
+    failing.seed = 0xbea7;
+    failing.trials = 64;
+    failing.failure_prob = 0.05;
+    failing.runner.threads = 1;
+    (void)broadcast_trials(g, failing);  // warmup
+    for (const int batch : {0, 32}) {
+      failing.runner.batch = batch;
+      bench_trials_row(json, g, failing, "/failure");
     }
   }
 

@@ -14,14 +14,14 @@
 /// Every cell's trials run as (cell, trial) pairs on one worker queue;
 /// cells are reduced in trial order and committed in cell order, so the
 /// artifacts (manifest included) are byte-identical for every --threads
-/// and --chunk value, and an interrupted run resumes from the manifest,
+/// value, and an interrupted run resumes from the manifest,
 /// recomputing only missing cells. Shards (--shard I/K) write disjoint
 /// cell subsets; concatenating shard manifests into one directory and
 /// re-running unsharded merges them without recomputation.
 ///
 /// Usage:
 ///   rrb_campaign [--spec FILE] [--set key=value ...] [--out DIR|none]
-///                [--threads W] [--chunk C] [--shard I/K]
+///                [--threads W] [--shard I/K]
 ///                [--merge DIR-OR-GLOB ...] [--list] [--quiet]
 ///
 /// Without --spec, settings start from the built-in defaults; --set
@@ -87,7 +87,7 @@ struct Options {
 void usage() {
   std::cout <<
       "usage: rrb_campaign [--spec FILE] [--set key=value ...] [--out DIR]\n"
-      "                    [--threads W] [--chunk C] [--batch B]\n"
+      "                    [--threads W] [--batch B]\n"
       "                    [--shard I/K] [--merge DIR-OR-GLOB ...]\n"
       "                    [--distribute K] [--respawn-budget N] [--list]\n"
       "                    [--quiet]\n"
@@ -100,8 +100,6 @@ void usage() {
       "                   'none' runs in memory without artifacts)\n"
       "  --threads W      worker threads (default 0 = auto: $RRB_THREADS,\n"
       "                   else hardware cores); never changes the results\n"
-      "  --chunk C        (cell, trial) pairs per claim on the one queue of\n"
-      "                   every cell's trials (default 0 = one pair)\n"
       "  --batch B        only 0 (the default) is accepted: campaign cells\n"
       "                   build a fresh graph per trial (static cells) or\n"
       "                   mutate the topology mid-run (churn cells), and\n"
@@ -304,8 +302,6 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (flag == "--out") opt.out_dir = next();
     else if (flag == "--threads")
       opt.config.runner.threads = int_flag(flag, next());
-    else if (flag == "--chunk")
-      opt.config.runner.chunk = int_flag(flag, next());
     else if (flag == "--batch")
       opt.config.runner.batch = int_flag(flag, next());
     else if (flag == "--distribute") opt.distribute = int_flag(flag, next());

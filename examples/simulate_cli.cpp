@@ -9,7 +9,7 @@
 ///                 FILE.edges]
 ///                [--n 16384] [--d 8] [--chunks C] [--choices K]
 ///                [--memory M] [--quasirandom] [--failure P] [--alpha A]
-///                [--seed S] [--trials T] [--threads W] [--chunk C]
+///                [--seed S] [--trials T] [--threads W]
 ///                [--json PATH] [--trace PATH] [--metrics LIST]
 ///
 /// SCHEME is any canonical scheme name (`--list-schemes` prints all of
@@ -76,8 +76,7 @@ void usage() {
       "[--memory M]\n"
       "                    [--quasirandom] [--failure P] [--alpha A] "
       "[--seed S] [--trials T]\n"
-      "                    [--threads W] [--chunk C] [--json PATH]\n"
-      "                    [--trace PATH]\n"
+      "                    [--threads W] [--json PATH] [--trace PATH]\n"
       "\n"
       "  --graph chunked      rrb::bigtopo chunked configuration model "
       "(compact CSR\n"
@@ -108,8 +107,6 @@ void usage() {
       "sequential).\n"
       "               Results are identical for every W — only wall-clock "
       "time changes.\n"
-      "  --chunk C    consecutive trials per scheduling task (default 0 = "
-      "auto)\n"
       "  --json PATH  also write the summaries as a JSON report (shared "
       "artifact\n"
       "               writer, same layout as the BENCH_*.json files)\n"
@@ -202,7 +199,6 @@ bool parse(int argc, char** argv, Options& opt) {
     else if (flag == "--trials") opt.trials = int_flag<int>(flag, next());
     else if (flag == "--threads")
       opt.runner.threads = int_flag<int>(flag, next());
-    else if (flag == "--chunk") opt.runner.chunk = int_flag<int>(flag, next());
     else if (flag == "--json") opt.json_path = next();
     else if (flag == "--trace") opt.trace_path = next();
     else if (flag == "--metrics") opt.metrics = next();
@@ -308,7 +304,8 @@ int main(int argc, char** argv) {
   scheme_options.trials = opt.trials;
   scheme_options.runner = opt.runner;
 
-  // Reject bad channel combinations up front, on the nominal shape.
+  // Reject bad channel combinations up front, on the nominal shape, with
+  // the check the engines themselves make.
   SchemeShape shape;
   shape.n = opt.n;
   shape.degree = opt.d;
@@ -320,6 +317,7 @@ int main(int argc, char** argv) {
       throw std::runtime_error(
           "--quasirandom cannot be combined with a positive memory window "
           "(use --memory 0 with seq)");
+    validate_channel(channel);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;

@@ -18,19 +18,14 @@ namespace rrb {
 /// Whatever values are chosen, results are bit-identical to the
 /// sequential path: trial i's randomness depends only on (seed, i) — see
 /// Rng::fork — and per-trial results are reduced in trial order. Threads
-/// and chunking only change wall-clock time, never output.
+/// and batching only change wall-clock time, never output. How many
+/// trials a worker claims at a time is not a knob: the runner picks it
+/// (rrb/sim/runner.hpp).
 struct RunnerConfig {
   /// Worker threads. 0 = automatic: $RRB_THREADS when set to a positive
   /// integer, otherwise one per hardware core. 1 = run inline on the
   /// calling thread (no pool is spawned).
   int threads = 0;
-
-  /// Consecutive trials claimed per scheduling task — scheduling
-  /// granularity only. 0 = automatic: ceil(trials / (4 · workers)), i.e.
-  /// about four chunks per worker, enough slack for dynamic load balancing
-  /// with few claims on the shared counter. Larger explicit chunks amortise
-  /// scheduling overhead further when trials are tiny.
-  int chunk = 0;
 
   /// Trials advanced in lockstep per BatchedPhoneCallEngine call on
   /// execution paths that support batching — trial sweeps over one fixed

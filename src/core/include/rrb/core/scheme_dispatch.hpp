@@ -59,6 +59,24 @@ namespace detail {
 
 }  // namespace detail
 
+/// The channel with_scheme() pairs `options.scheme` with: the scheme's
+/// canonical channel — four choices for four-choice, one call with a
+/// 3-round memory for sequentialised, one uniform call otherwise — with
+/// the facade overrides (num_choices, memory, quasirandom, failure_prob)
+/// applied on top. Pass it to validate_channel() to reject a bad override
+/// before any run starts.
+[[nodiscard]] inline ChannelConfig scheme_channel(
+    const BroadcastOptions& options) {
+  ChannelConfig channel;
+  channel.failure_prob = options.failure_prob;
+  if (options.scheme == BroadcastScheme::kFourChoice) channel.num_choices = 4;
+  if (options.scheme == BroadcastScheme::kSequentialised) channel.memory = 3;
+  if (options.memory >= 0) channel.memory = options.memory;
+  if (options.num_choices > 0) channel.num_choices = options.num_choices;
+  channel.quasirandom = options.quasirandom;
+  return channel;
+}
+
 /// Build the concrete protocol and channel configuration for
 /// `options.scheme` and invoke `visit(protocol, channel)` with the
 /// protocol's static type. The visitor must accept any ProtocolImpl by
@@ -73,15 +91,8 @@ decltype(auto) with_scheme(const SchemeShape& shape,
   const std::uint64_t n_est =
       options.n_estimate != 0 ? options.n_estimate : shape.n;
 
-  ChannelConfig channel;
-  channel.failure_prob = options.failure_prob;
-
-  // Facade-level channel overrides are applied on top of the scheme's
-  // canonical pairing right before the visitor runs.
+  const ChannelConfig channel = scheme_channel(options);
   auto finish = [&](auto proto) -> decltype(auto) {
-    if (options.memory >= 0) channel.memory = options.memory;
-    if (options.num_choices > 0) channel.num_choices = options.num_choices;
-    channel.quasirandom = options.quasirandom;
     return visit(std::move(proto), channel);
   };
 
@@ -109,7 +120,6 @@ decltype(auto) with_scheme(const SchemeShape& shape,
       FourChoiceConfig cfg;
       cfg.n_estimate = n_est;
       cfg.alpha = options.alpha;
-      channel.num_choices = 4;
       // Algorithm 1 vs 2 selected by degree, as the paper prescribes.
       if (four_choice_uses_large_degree(cfg, shape.degree))
         return finish(FourChoiceLargeDegree(cfg));
@@ -119,8 +129,6 @@ decltype(auto) with_scheme(const SchemeShape& shape,
       FourChoiceConfig cfg;
       cfg.n_estimate = n_est;
       cfg.alpha = options.alpha;
-      channel.num_choices = 1;
-      channel.memory = 3;
       return finish(SequentialisedFourChoice(cfg));
     }
   }

@@ -302,7 +302,7 @@ struct QueuedCell {
 /// The one campaign scheduler. Every (cell, trial) pair of the cells not
 /// yet `reused` goes, in cell order and then trial order, on one
 /// ParallelRunner; a claim takes one pair (each builds its own graph, so no
-/// claim dominates), or runner.chunk consecutive pairs when set. When a
+/// claim dominates; ParallelRunner::for_each_unit). When a
 /// cell's last trial lands, that worker reduces the cell into its record
 /// and frees the slots. Then, under the mutex, finished cells are committed
 /// strictly in cell order — reused cells in their place — by
@@ -347,9 +347,7 @@ void execute(const CampaignSpec& spec, std::vector<CellResult>& cells,
   RRB_REQUIRE(todo.size() <= static_cast<std::size_t>(
                                  std::numeric_limits<int>::max()) / trials,
               "campaign has too many (cell, trial) pairs");
-  RunnerConfig config = runner;
-  if (config.chunk == 0) config.chunk = 1;
-  ParallelRunner(config).for_each_trial(
+  ParallelRunner(runner).for_each_unit(
       static_cast<int>(todo.size() * trials), [&](int pair) {
         const std::size_t i = todo[static_cast<std::size_t>(pair) / trials];
         const int trial = static_cast<int>(static_cast<std::size_t>(pair) %

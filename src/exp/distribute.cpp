@@ -272,8 +272,6 @@ namespace {
                                    config.out_dir,
                                    "--threads",
                                    std::to_string(config.runner.threads),
-                                   "--chunk",
-                                   std::to_string(config.runner.chunk),
                                    "--batch",
                                    std::to_string(config.runner.batch)};
   if (config.quiet) args.push_back("--quiet");

@@ -16,7 +16,7 @@
 /// executes every cell's trials under the library's seeding contract
 /// (trial i of a cell runs on Rng(cell.seed).fork(i), reduced in trial
 /// order), so a cell's record is a pure function of (spec, cell) — never of
-/// the thread count, the chunk size, the shard split, or which cells ran
+/// the thread count, the shard split, or which cells ran
 /// before it. That purity is what the artifact layer leans on:
 ///
 ///  * `manifest.jsonl` — an append-only journal, one flushed line per
@@ -48,11 +48,11 @@ namespace rrb::exp {
 /// Execution knobs. None of these affect the recorded numbers.
 struct CampaignConfig {
   /// The one worker pool. Every (cell, trial) pair still to compute is
-  /// queued on it in cell order, then trial order; `runner.chunk` is the
-  /// number of consecutive pairs per claim (0 = one pair). Cells overlap,
-  /// but they are reduced in trial order and committed in cell order, so
-  /// the artifacts — the manifest included — are byte-identical for every
-  /// thread count and chunk. Threads default via $RRB_THREADS.
+  /// queued on it in cell order, then trial order, and a claim takes one
+  /// pair. Cells overlap, but they are reduced in trial order and
+  /// committed in cell order, so the artifacts — the manifest included —
+  /// are byte-identical for every thread count. Threads default via
+  /// $RRB_THREADS.
   RunnerConfig runner;
 
   int shard_index = 0;

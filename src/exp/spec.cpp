@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "rrb/core/scheme_dispatch.hpp"
 #include "rrb/exp/artifact.hpp"
 #include "rrb/rng/rng.hpp"
 
@@ -289,8 +290,7 @@ std::vector<CampaignCell> expand_cells(const CampaignSpec& spec) {
                     cell.overlay = spec.overlay || churn > 0.0;
                     if (cell.n < 2)
                       fail("cell n must be >= 2");
-                    if (choices < 0 || choices > (1 << 10))
-                      fail("choices out of range");
+                    if (choices < 0) fail("choices out of range");
                     if (memory < -1 || memory > (1 << 20))
                       fail("memory out of range");
                     // Negated comparisons so NaN axis values fail validation
@@ -298,16 +298,23 @@ std::vector<CampaignCell> expand_cells(const CampaignSpec& spec) {
                     if (!std::isfinite(alpha)) fail("alpha must be finite");
                     if (!(churn >= 0.0) || !std::isfinite(churn))
                       fail("churn rate must be finite and >= 0");
-                    if (!(failure >= 0.0 && failure <= 1.0))
-                      fail("failure probability must be in [0, 1]");
-                    // Mirrors the canonical channel pairing: the
-                    // sequentialised scheme's memory window is mutually
-                    // exclusive with quasirandom selection, so fail at
-                    // expansion instead of mid-campaign at engine
-                    // construction.
-                    if (qr && scheme == BroadcastScheme::kSequentialised)
-                      fail("quasirandom cannot combine with the "
-                           "sequentialised scheme's memory window");
+                    // The engines' own channel check (a NaN failure
+                    // probability fails it too), on the channel the cell's
+                    // trials will run: an override the engines refuse
+                    // (choices = 65, quasirandom with the sequentialised
+                    // scheme's memory window) fails here, not mid-campaign
+                    // at engine construction.
+                    BroadcastOptions options;
+                    options.scheme = scheme;
+                    options.failure_prob = failure;
+                    options.quasirandom = qr;
+                    options.num_choices = choices;
+                    options.memory = memory;
+                    try {
+                      validate_channel(scheme_channel(options));
+                    } catch (const std::invalid_argument& e) {
+                      fail(e.what());
+                    }
                     if (family_ignores_d(spec.graph))
                       cell.d = derived_degree(spec.graph, cell.n);
                     if (cell.overlay && spec.graph != GraphFamily::kRegular)

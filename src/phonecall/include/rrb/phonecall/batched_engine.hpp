@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -23,22 +22,21 @@
 ///
 /// PhoneCallEngine walks the topology's CSR once per trial; a trial sweep
 /// over a fixed graph therefore re-streams the same adjacency arrays from
-/// memory once per trial and is latency-bound. BatchedPhoneCallEngine
-/// restructures the sweep as lockstep lanes: per round, one sequential scan
-/// over the nodes serves every lane — the degree and neighbour lookups for
-/// node v (in the classic kernel, for a block of nodes) are fetched once
-/// and stay cache-hot across all B lanes, and the per-lane round state is
-/// packed into lane bitmasks.
+/// memory once per trial and is latency-bound. BatchedPhoneCallEngine's
+/// lockstep kernel restructures the sweep: per round, one cache-blocked
+/// scan over the nodes serves every lane — a block's offsets and CSR rows
+/// are fetched once and stay cache-hot across all B lanes — and each
+/// lane's round state is a transposed informed bitmap.
 ///
 /// Determinism: batching is scheduling, never semantics. Lane i runs on its
 /// own Rng — the caller derives it as Rng(seed).fork(i) per the seeding
-/// contract — and every kernel makes exactly the draws the sequential
-/// engine makes, in the same per-lane order (rounds ascending, nodes
-/// ascending within a round, channels in choice order within a node).
-/// Because no lane ever observes another lane's stream, interleaving the
-/// lanes is invisible: every RunResult and every observer is bit-identical
-/// to a PhoneCallEngine run of the same trial (ROADMAP.md draw-order
-/// invariant; pinned for all eight schemes by tests/test_batched_engine.cpp).
+/// contract — and the kernel makes exactly the draws the sequential engine
+/// makes, in the same per-lane order (rounds ascending, nodes ascending
+/// within a round). Because no lane ever observes another lane's stream,
+/// interleaving the lanes is invisible: every RunResult and every observer
+/// is bit-identical to a PhoneCallEngine run of the same trial (ROADMAP.md
+/// draw-order invariant; pinned for all eight schemes by
+/// tests/test_batched_engine.cpp).
 ///
 /// Kernel ladder, chosen per lane group by batched_kernel_for() below:
 ///  1. classic — state-oblivious protocols (kActionIgnoresState: push,
@@ -46,15 +44,14 @@
 ///     per-lane transposed informed bitmaps, no per-node action scan, and
 ///     one cache-blocked sweep per round that fuses each lane's draws with
 ///     its deliveries;
-///  2. bitmask — any other hook-free protocol and observer: per-node
-///     push/pull/informed lane masks and the inlined uniform sampler;
-///  3. sequential — everything the lockstep kernels cannot model runs lane
-///     by lane on PhoneCallEngine, each lane on its own Rng, source and
-///     observer, so its draws match by construction. The refusal reason is
-///     one of "protocol hooks" (on_round_start / stamp / on_receive, which
-///     every type-erased BroadcastProtocol exposes), "observer hooks",
-///     "quasirandom", "memory > 0", "lanes > 64" (a lane mask is one
-///     word) or "dead nodes".
+///  2. sequential — everything else runs lane by lane on PhoneCallEngine,
+///     each lane on its own Rng, source and observer, so its draws match
+///     by construction. The refusal reason is one of "protocol hooks"
+///     (on_round_start / stamp / on_receive, which every type-erased
+///     BroadcastProtocol exposes), "observer hooks", "quasirandom",
+///     "memory > 0", "lanes > 64", "dead nodes", "state-dependent action"
+///     (a hook-free protocol that does not declare kActionIgnoresState,
+///     e.g. four-choice), "choices > 1" or "failure_prob > 0".
 /// A lockstep kernel must be measurably faster than the sequential engine
 /// on the schemes it serves, or it is deleted and its lanes fall back
 /// (ROADMAP.md; bench_micro_engine's trials/* rows measure each rung).
@@ -62,10 +59,8 @@
 /// Scope: the topology must not change during a run — there is no round
 /// hook and no churn path here (lanes advance through different logical
 /// "times" of their own trials, so a shared mutating topology cannot be
-/// meaningful). Structured failure models are likewise out of scope; the
-/// i.i.d. ChannelConfig::failure_prob channel failures are supported and
-/// drawn per lane exactly as the sequential engine draws them. Anything
-/// needing hooks or failure models runs on PhoneCallEngine.
+/// meaningful). Anything needing hooks, channel failures or failure
+/// models runs on PhoneCallEngine.
 ///
 /// Protocols are passed as a span of per-lane instances of one static type
 /// (the scheme dispatch hands every lane the same concrete protocol), and
@@ -79,10 +74,10 @@ namespace detail {
 /// True when the protocol type implements none of the optional per-round /
 /// per-delivery hooks (on_round_start, stamp, on_receive). Such protocols
 /// interact with the engine only through action() and finished(), which is
-/// what lets the lockstep kernels keep per-lane state as bitmasks instead
-/// of firing per-event callbacks. Mirrors the `requires` checks in
+/// what lets the lockstep kernel keep per-lane state as bitmaps instead of
+/// firing per-event callbacks. Mirrors the `requires` checks in
 /// PhoneCallEngine::run — a hook the sequential engine would not call is
-/// also one the kernels may skip.
+/// also one the kernel may skip.
 template <typename P>
 inline constexpr bool kLaneHookFreeProtocol =
     !requires(P& p, Round t) { p.on_round_start(t); } &&
@@ -96,11 +91,10 @@ inline constexpr bool kLaneHookFreeProtocol =
 /// only on the round number — never on the node id or its local state.
 /// All four classical baselines qualify: push/pull/push&pull answer a
 /// constant, fixed-horizon push answers a function of t. For such
-/// protocols the lockstep kernels ask action() once per lane per round and
-/// broadcast the answer with AND masks instead of walking every
-/// (node, lane) pair — the declaration is a contract, and a protocol that
-/// declares it untruthfully fails the batched-vs-sequential bit-identity
-/// suite.
+/// protocols the lockstep kernel asks action() once per lane per round
+/// instead of walking every (node, lane) pair — the declaration is a
+/// contract, and a protocol that declares it untruthfully fails the
+/// batched-vs-sequential bit-identity suite.
 template <typename P>
 inline constexpr bool kStateObliviousAction = requires {
   requires P::kActionIgnoresState;
@@ -108,7 +102,7 @@ inline constexpr bool kStateObliviousAction = requires {
 
 /// True when the observer type implements none of the observer hooks the
 /// engines fire (the bare NoMetrics observer, notably). The lockstep
-/// kernels keep no per-lane node-order view to hand an observer.
+/// kernel keeps no per-lane node-order view to hand an observer.
 template <typename O>
 inline constexpr bool kLaneHookFreeObserver =
     !requires(O& o, NodeId n, std::span<const NodeId> s) {
@@ -125,24 +119,16 @@ inline constexpr bool kLaneHookFreeObserver =
 }  // namespace detail
 
 /// The rungs of the batched engine's kernel ladder (see the file comment).
-enum class BatchedKernel : std::uint8_t { kClassic, kBitmask, kSequential };
+enum class BatchedKernel : std::uint8_t { kClassic, kSequential };
 
-/// "classic", "bitmask" or "sequential" — the suffix of the kernel's
-/// telemetry span name ("batched:<name>").
+/// "classic" or "sequential" — the suffix of the kernel's telemetry span
+/// name ("batched:<name>").
 [[nodiscard]] constexpr const char* batched_kernel_name(BatchedKernel k) {
-  switch (k) {
-    case BatchedKernel::kClassic:
-      return "classic";
-    case BatchedKernel::kBitmask:
-      return "bitmask";
-    case BatchedKernel::kSequential:
-      break;
-  }
-  return "sequential";
+  return k == BatchedKernel::kClassic ? "classic" : "sequential";
 }
 
 /// A kernel choice and, for the sequential fallback, the first feature the
-/// lockstep kernels do not model ("" when a lockstep kernel was chosen).
+/// lockstep kernel does not model ("" when the lockstep kernel was chosen).
 struct BatchedKernelChoice {
   BatchedKernel kernel = BatchedKernel::kSequential;
   const char* reason = "";
@@ -166,10 +152,11 @@ template <ProtocolImpl ProtocolT, typename ObserverT, Topology TopologyT>
     if (config.memory > 0) return sequential("memory > 0");
     if (lanes > 64) return sequential("lanes > 64");
     if (topo.num_alive() != topo.num_slots()) return sequential("dead nodes");
-    if (detail::kStateObliviousAction<ProtocolT> && config.num_choices == 1 &&
-        !(config.failure_prob > 0.0))
-      return {BatchedKernel::kClassic, ""};
-    return {BatchedKernel::kBitmask, ""};
+    if (!detail::kStateObliviousAction<ProtocolT>)
+      return sequential("state-dependent action");
+    if (config.num_choices > 1) return sequential("choices > 1");
+    if (config.failure_prob > 0.0) return sequential("failure_prob > 0");
+    return {BatchedKernel::kClassic, ""};
   }
 }
 
@@ -181,13 +168,7 @@ class BatchedPhoneCallEngine {
   /// sweep of one experiment cell, which fixes the channel model).
   BatchedPhoneCallEngine(const TopologyT& topo, ChannelConfig config)
       : topo_(&topo), config_(config) {
-    RRB_REQUIRE(config_.num_choices >= 1, "need at least one choice");
-    RRB_REQUIRE(config_.num_choices <= 64, "choices capped at 64");
-    RRB_REQUIRE(config_.memory >= 0, "memory must be >= 0");
-    RRB_REQUIRE(config_.failure_prob >= 0.0 && config_.failure_prob <= 1.0,
-                "failure_prob out of [0,1]");
-    RRB_REQUIRE(!(config_.quasirandom && config_.memory > 0),
-                "quasirandom and memory are mutually exclusive");
+    validate_channel(config_);
   }
 
   /// Run lane b = 0..B-1 from sources[b] with *protocols[b] on rngs[b],
@@ -212,37 +193,10 @@ class BatchedPhoneCallEngine {
                              std::span<ObserverT> observers);
 
  private:
-  /// Per-node lane masks, bit b = lane b. The pull/informed pair is what a
-  /// partner lookup reads (and the informed bit is what a delivery writes):
-  /// packed as one 16-byte, 16-byte-aligned pair it can never straddle a
-  /// cache line, so the per-channel cost of "is w pulling / is w already
-  /// informed in lane b" is a single line fetch for *all* lanes — the
-  /// sequential engine pays two scattered loads per channel per trial for
-  /// the same questions. The push word lives in its own densely-streamed
-  /// array (push_words_): the delivery sweep reads it for every node, not
-  /// just call targets.
-  struct alignas(16) PullInformed {
-    std::uint64_t pull = 0;
-    std::uint64_t informed = 0;
-  };
-  static_assert(sizeof(PullInformed) == 16);
-
   /// Nodes per block of the classic kernel's sweep. A block's working set
   /// is about kClassicBlock x (one 64-byte CSR line + a 4-byte offset)
   /// ~ 0.55 MB, so it fits a 2 MB per-core L2 at any degree.
   static constexpr NodeId kClassicBlock = NodeId{1} << 13;
-
-  /// The bitmask kernel: hook-free protocol/observer lanes, uniform
-  /// sampling (no quasirandom cursors, no memory rings), <= 64 lanes, and a
-  /// fully-alive topology. Draw-for-draw identical to PhoneCallEngine —
-  /// each lane's per-node sample is the same Rng::sample_distinct_small
-  /// call that ChannelSampler::choose's uniform branch makes — it only
-  /// replaces per-lane control flow with the PullInformed/push-word bit
-  /// algebra above.
-  template <ProtocolImpl ProtocolT>
-  std::vector<RunResult> run_bitmask(
-      std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
-      std::span<Rng> rngs, const RunLimits& limits);
 
   /// The classical-scheme kernel: state-oblivious protocols (push / pull /
   /// push&pull / fixed-horizon) with one reliable call per round. Lane
@@ -257,7 +211,7 @@ class BatchedPhoneCallEngine {
   /// stay in L2, so only the first lane streams them from memory; the
   /// lanes after it re-read them from cache. Each lane still draws once per
   /// non-isolated node, nodes ascending, on its own stream, so the kernel
-  /// is draw-for-draw identical to the sequential engine, like run_bitmask.
+  /// is draw-for-draw identical to the sequential engine.
   /// A pass works on a local copy of the lane's Rng, written back at the
   /// end: the bitmap stores are uint64_t like the xoshiro state, so through
   /// the caller's Rng the compiler would reload and store that state around
@@ -277,11 +231,10 @@ class BatchedPhoneCallEngine {
                       std::uint64_t* bits, const std::uint64_t* snap,
                       RoundStats& round) const;
 
-  /// Lane bookkeeping shared by the two lockstep kernels, in
-  /// PhoneCallEngine's exact order so the RunResults come out identical.
-  /// start_lanes resets every lane's protocol and counters, validates its
-  /// source (which the kernel then marks informed in its own layout) and
-  /// activates every lane.
+  /// Lane bookkeeping, in PhoneCallEngine's exact order so the RunResults
+  /// come out identical. start_lanes resets every lane's protocol and
+  /// counters, validates its source (which the kernel then marks informed
+  /// in its bitmap) and activates every lane.
   template <ProtocolImpl ProtocolT>
   std::vector<RunResult> start_lanes(std::span<ProtocolT* const> protocols,
                                      std::span<const NodeId> sources);
@@ -296,11 +249,11 @@ class BatchedPhoneCallEngine {
   }
 
   /// Fold each active lane's round into its result, test termination, and
-  /// drop (and finalize) the lanes that stopped. Returns their lane bits.
+  /// drop (and finalize) the lanes that stopped.
   template <ProtocolImpl ProtocolT>
-  std::uint64_t end_round(std::span<ProtocolT* const> protocols, Round t,
-                          Count channels_per_round, const RunLimits& limits,
-                          std::span<RunResult> results);
+  void end_round(std::span<ProtocolT* const> protocols, Round t,
+                 Count channels_per_round, const RunLimits& limits,
+                 std::span<RunResult> results);
 
   /// Lane b stopped after `rounds`. informed_alive_[b] is maintained on
   /// exactly the increments PhoneCallEngine makes, and with every node
@@ -323,19 +276,11 @@ class BatchedPhoneCallEngine {
   const TopologyT* topo_;
   ChannelConfig config_;
 
-  // Bitmask kernel only: stamp_[v * B + b] is lane b's informed round for
-  // node v (kNever = uninformed), kept only for state-dependent protocols;
-  // node-major so the random partner access lands every lane's entry on
-  // the same cache line(s).
-  std::vector<Round> stamp_;
-  std::vector<std::uint64_t> push_words_;
-  std::vector<PullInformed> pi_;
-
-  // Classic kernel only: concatenated per-lane informed bitmaps
-  // (live_bits_[b * W + v/64] bit v%64), which deliveries update, and one
-  // round-start snapshot per lane in the same layout, which transmissions
-  // read. Every lane needs its own snapshot because the blocked sweep
-  // interleaves the lanes across node blocks.
+  // Concatenated per-lane informed bitmaps (live_bits_[b * W + v/64] bit
+  // v%64), which deliveries update, and one round-start snapshot per lane
+  // in the same layout, which transmissions read. Every lane needs its own
+  // snapshot because the blocked sweep interleaves the lanes across node
+  // blocks.
   std::vector<std::uint64_t> live_bits_;
   std::vector<std::uint64_t> start_bits_;
 
@@ -362,7 +307,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run(
       batched_kernel_for<ProtocolT, ObserverT>(config_, lanes, *topo_);
 
   // Kernel-ladder telemetry: one span per lane group, named after the rung
-  // that ran, with the lockstep kernels' refusal reason when it is the
+  // that ran, with the lockstep kernel's refusal reason when it is the
   // fallback. Wall-clock only — never affects draws or outputs.
   telemetry::Span kernel_span(
       "batched", std::string("batched:") + batched_kernel_name(choice.kernel));
@@ -375,13 +320,10 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run(
   }
 
   if constexpr (detail::kLaneHookFreeProtocol<ProtocolT> &&
-                detail::kLaneHookFreeObserver<ObserverT>) {
-    if constexpr (detail::kStateObliviousAction<ProtocolT>) {
-      if (choice.kernel == BatchedKernel::kClassic)
-        return run_classic(protocols, sources, rngs, limits);
-    }
-    if (choice.kernel == BatchedKernel::kBitmask)
-      return run_bitmask(protocols, sources, rngs, limits);
+                detail::kLaneHookFreeObserver<ObserverT> &&
+                detail::kStateObliviousAction<ProtocolT>) {
+    if (choice.kernel == BatchedKernel::kClassic)
+      return run_classic(protocols, sources, rngs, limits);
   }
 
   // The fallback: lane by lane on PhoneCallEngine over the shared,
@@ -424,11 +366,10 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::start_lanes(
 
 template <Topology TopologyT>
 template <ProtocolImpl ProtocolT>
-std::uint64_t BatchedPhoneCallEngine<TopologyT>::end_round(
+void BatchedPhoneCallEngine<TopologyT>::end_round(
     std::span<ProtocolT* const> protocols, Round t, Count channels_per_round,
     const RunLimits& limits, std::span<RunResult> results) {
   const Count alive = topo_->num_alive();  // == n; immutable during the run
-  std::uint64_t stopped = 0;
   std::size_t keep = 0;
   for (const std::size_t b : active_) {
     RoundStats& round = round_stats_[b];
@@ -452,194 +393,11 @@ std::uint64_t BatchedPhoneCallEngine<TopologyT>::end_round(
         limits.stop_when_all_informed && informed_alive >= alive;
     if (proto_done || oracle_done) {
       finalize_lane(result, b, t);
-      stopped |= std::uint64_t{1} << b;
     } else {
       active_[keep++] = b;
     }
   }
   active_.resize(keep);
-  return stopped;
-}
-
-template <Topology TopologyT>
-template <ProtocolImpl ProtocolT>
-std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_bitmask(
-    std::span<ProtocolT* const> protocols, std::span<const NodeId> sources,
-    std::span<Rng> rngs, const RunLimits& limits) {
-  const NodeId n = topo_->num_slots();
-  const std::size_t lanes = protocols.size();
-
-  // With a state-oblivious protocol (and the kernel's hook-free observers)
-  // nothing ever reads a per-(node, lane) informed stamp: Phase A never
-  // consults node state and there is no observer view to gather. Eliding
-  // the stamps drops the kernel's one superlinear array — n*lanes rounds
-  // (megabytes at B=64, past L2) that would otherwise be cleared per batch
-  // and take a scattered far write on every first delivery.
-  constexpr bool kKeepStamps = !detail::kStateObliviousAction<ProtocolT>;
-  if constexpr (kKeepStamps)
-    stamp_.assign(static_cast<std::size_t>(n) * lanes, kNever);
-  push_words_.assign(n, 0);
-  pi_.assign(n, PullInformed{});
-  std::vector<RunResult> results = start_lanes(protocols, sources);
-  for (std::size_t b = 0; b < lanes; ++b) {
-    if constexpr (kKeepStamps)
-      stamp_[static_cast<std::size_t>(sources[b]) * lanes + b] = 0;
-    pi_[sources[b]].informed |= std::uint64_t{1} << b;
-  }
-
-  // Lanes still running, as a bitmask (eligibility capped lanes at 64).
-  std::uint64_t live =
-      lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
-
-  const auto k = static_cast<std::size_t>(config_.num_choices);
-  const bool has_failure = config_.failure_prob > 0.0;
-  const double fp = config_.failure_prob;
-  // Every alive node opens min(k, degree) channels every round, so the
-  // per-round channels_opened count is a run constant on an immutable
-  // topology — computing it once removes a counter update from the hot
-  // loop. (channels_failed still counts per draw.)
-  Count channels_per_round = 0;
-  for (NodeId v = 0; v < n; ++v)
-    channels_per_round += static_cast<Count>(
-        std::min<std::size_t>(k, detail::topo_degree(*topo_, v)));
-
-  NodeId choices[64];  // num_choices is capped at 64 by the constructor
-
-  // Nonzero while any pi_[v].pull word may hold stale bits from an earlier
-  // round; lets pure-push rounds skip the pull-word writes entirely.
-  std::uint64_t pull_words_dirty = 0;
-
-  Round t = 0;
-  while (live != 0 && t < limits.max_rounds) {
-    ++t;
-    start_round(t);
-
-    // Phase A: per-lane actions, folded into per-node push/pull masks. Only
-    // lanes in which v is informed can act, so a single word test skips the
-    // (initially vast) uninformed majority outright.
-    std::uint64_t any_pull = 0;
-    if constexpr (detail::kStateObliviousAction<ProtocolT>) {
-      // Declared contract: action() reads only the round number, so one
-      // call per lane fixes the whole round. Every informed node transmits
-      // iff its lane's action is not kNone, which turns Phase A into two
-      // AND masks over a linear scan (vectorizable, no per-bit work) and
-      // makes transmitting_nodes the lane's informed count at round start.
-      std::uint64_t push_mask = 0;
-      std::uint64_t pull_mask = 0;
-      for (const std::size_t b : active_) {
-        NodeLocalState state;  // ignored by contract; t=0 stamp is arbitrary
-        state.informed_at = 0;
-        state.is_source = true;
-        const Action a = protocols[b]->action(NodeId{0}, state, t);
-        if (a != Action::kNone)
-          round_stats_[b].transmitting_nodes = informed_alive_[b];
-        const std::uint64_t bit = std::uint64_t{1} << b;
-        if (does_push(a)) push_mask |= bit;
-        if (does_pull(a)) pull_mask |= bit;
-      }
-      // The source is informed from round 0, so a pulling lane always has
-      // at least one pulling node: any_pull == pull_mask exactly.
-      any_pull = pull_mask;
-      if ((pull_mask | pull_words_dirty) == 0) {
-        for (NodeId v = 0; v < n; ++v)
-          push_words_[v] = pi_[v].informed & push_mask;
-      } else {
-        for (NodeId v = 0; v < n; ++v) {
-          const std::uint64_t im = pi_[v].informed;
-          push_words_[v] = im & push_mask;
-          pi_[v].pull = im & pull_mask;
-        }
-        pull_words_dirty = pull_mask;
-      }
-    } else {
-      for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t im = pi_[v].informed & live;
-        std::uint64_t push_bits = 0;
-        std::uint64_t pull_bits = 0;
-        if (im != 0) {
-          const std::size_t base = static_cast<std::size_t>(v) * lanes;
-          for (std::uint64_t rem = im; rem != 0; rem &= rem - 1) {
-            const auto b = static_cast<std::size_t>(std::countr_zero(rem));
-            NodeLocalState state;
-            state.informed_at = stamp_[base + b];
-            state.is_source = state.informed_at == 0;
-            const Action a = protocols[b]->action(v, state, t);
-            if (a != Action::kNone) ++round_stats_[b].transmitting_nodes;
-            if (does_push(a)) push_bits |= std::uint64_t{1} << b;
-            if (does_pull(a)) pull_bits |= std::uint64_t{1} << b;
-          }
-        }
-        push_words_[v] = push_bits;
-        pi_[v].pull = pull_bits;
-        any_pull |= pull_bits;
-      }
-    }
-
-    // Phase B: per lane, the exact per-node draw sequence of
-    // ChannelSampler::choose's uniform branch (sample_distinct_small), then
-    // the per-channel failure draw and delivery. A lane that neither pushes
-    // from v nor pulls anywhere this round still makes all its draws — the
-    // stream must advance — but skips the partner lookup entirely.
-    //
-    // Delivery for one channel of lane b, caller v, partner w. Mirrors the
-    // sequential deliver() pair: push v->w first, then w's pull answer.
-    const auto deliver = [&](NodeId v, NodeId w, std::size_t b,
-                             std::uint64_t bit, bool push_here,
-                             RoundStats& round) {
-      PullInformed& mw = pi_[w];
-      if (push_here) {
-        ++round.push_tx;
-        if ((mw.informed & bit) == 0) {
-          mw.informed |= bit;
-          if constexpr (kKeepStamps)
-            stamp_[static_cast<std::size_t>(w) * lanes + b] = t;
-          ++informed_alive_[b];
-          ++newly_count_[b];
-        }
-      }
-      if ((mw.pull & bit) != 0) {
-        ++round.pull_tx;
-        PullInformed& mv = pi_[v];
-        if ((mv.informed & bit) == 0) {
-          mv.informed |= bit;
-          if constexpr (kKeepStamps)
-            stamp_[static_cast<std::size_t>(v) * lanes + b] = t;
-          ++informed_alive_[b];
-          ++newly_count_[b];
-        }
-      }
-    };
-
-    for (NodeId v = 0; v < n; ++v) {
-      const NodeId d = detail::topo_degree(*topo_, v);
-      if (d == 0) continue;  // choose() draws nothing for isolated nodes
-      const std::size_t take = std::min<std::size_t>(k, d);
-      const std::uint64_t push_v = push_words_[v];
-      for (const std::size_t b : active_) {
-        const std::uint64_t bit = std::uint64_t{1} << b;
-        Rng& rng = rngs[b];
-        rng.sample_distinct_small(d, take, choices);
-        RoundStats& round = round_stats_[b];
-        const bool push_here = (push_v & bit) != 0;
-        const bool lane_pulls = (any_pull & bit) != 0;
-        if (!has_failure && !push_here && !lane_pulls)
-          continue;  // no failure draws to make, nothing to deliver
-        for (std::size_t i = 0; i < take; ++i) {
-          if (has_failure && rng.bernoulli(fp)) {
-            ++round.channels_failed;
-            continue;
-          }
-          if (!push_here && !lane_pulls) continue;
-          const NodeId w = detail::topo_neighbor(*topo_, v, choices[i]);
-          deliver(v, w, b, bit, push_here, round);
-        }
-      }
-    }
-
-    live &= ~end_round(protocols, t, channels_per_round, limits, results);
-  }
-  finish_lanes(results, t);
-  return results;
 }
 
 template <Topology TopologyT>

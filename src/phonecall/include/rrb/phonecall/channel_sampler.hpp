@@ -39,6 +39,14 @@ struct ChannelConfig {
   bool quasirandom = false;
 };
 
+/// The one check of a channel model both engines run on: throws
+/// std::invalid_argument (a std::logic_error) naming the first rule
+/// `config` breaks — at least one and at most 64 choices (the engines'
+/// choice buffers hold 64), memory >= 0, failure_prob in [0, 1], and no
+/// quasirandom walk combined with a memory ring. Both engine constructors
+/// call it; front ends call it to reject a channel before any run starts.
+void validate_channel(const ChannelConfig& config);
+
 namespace detail {
 
 /// Topology access used inside the round loop: prefer the unchecked CSR

@@ -128,13 +128,7 @@ class PhoneCallEngine {
  public:
   PhoneCallEngine(TopologyT& topo, ChannelConfig config, Rng& rng)
       : topo_(&topo), config_(config), rng_(&rng) {
-    RRB_REQUIRE(config_.num_choices >= 1, "need at least one choice");
-    RRB_REQUIRE(config_.num_choices <= 64, "choices capped at 64");
-    RRB_REQUIRE(config_.memory >= 0, "memory must be >= 0");
-    RRB_REQUIRE(config_.failure_prob >= 0.0 && config_.failure_prob <= 1.0,
-                "failure_prob out of [0,1]");
-    RRB_REQUIRE(!(config_.quasirandom && config_.memory > 0),
-                "quasirandom and memory are mutually exclusive");
+    validate_channel(config_);
   }
 
   /// Mutate the topology between rounds (churn). Newly joined nodes start

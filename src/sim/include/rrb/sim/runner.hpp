@@ -20,14 +20,15 @@
 ///      after the pool has drained.
 ///
 /// Under those two rules the output is bit-identical for every
-/// RunnerConfig — threads = 1 vs 8, chunked vs unchunked — which is what
-/// the determinism regression suite (tests/test_runner.cpp) pins down.
+/// RunnerConfig and every chunk size — threads = 1 vs 8 already resolve
+/// to different chunks — which is what the determinism regression suite
+/// (tests/test_runner.cpp) pins down.
 
 namespace rrb {
 
 class ParallelRunner {
  public:
-  /// Throws std::logic_error on negative threads/chunk.
+  /// Throws std::logic_error on negative threads/batch.
   explicit ParallelRunner(RunnerConfig config = {});
 
   /// Worker threads a pool built from `config` would use, before capping
@@ -36,17 +37,16 @@ class ParallelRunner {
     return rrb::resolve_threads(config);
   }
 
-  /// Trials claimed per scheduling task: config.chunk when positive, else
-  /// ceil(trials / (4 · resolve_threads())) — about four chunks per
-  /// worker.
+  /// Trials claimed per scheduling task: ceil(trials / (4 ·
+  /// resolve_threads())) — about four chunks per worker, enough slack for
+  /// dynamic load balancing with few claims on the shared counter.
   [[nodiscard]] int resolved_chunk(int trials) const;
 
   /// Number of contiguous chunks [begin, end) that cover [0, trials).
-  /// Depends on (trials, chunk) and — only when chunk is defaulted — on
-  /// the resolved worker count. Either way the chunking contract applies:
-  /// chunks are contiguous ascending trial ranges reduced in chunk order,
-  /// so results are byte-identical for every chunking (pinned by
-  /// tests/test_runner.cpp).
+  /// Depends on trials and the resolved worker count, but the chunking
+  /// contract makes that invisible: chunks are contiguous ascending trial
+  /// ranges reduced in chunk order, so results are byte-identical for
+  /// every chunking (pinned by tests/test_runner.cpp).
   [[nodiscard]] int num_chunks(int trials) const;
 
   /// Half-open trial range of chunk `index`.
@@ -63,6 +63,13 @@ class ParallelRunner {
 
   /// Convenience wrapper: fn(trial) for every trial in [0, trials).
   void for_each_trial(int trials, const std::function<void(int)>& fn) const;
+
+  /// fn(unit) for every unit in [0, units), one unit per claim, as chunks
+  /// of one under the same spans and exception rule as for_each_chunk.
+  /// For units each costly enough to matter alone — a campaign's (cell,
+  /// trial) pair builds its own graph — where four chunks per worker would
+  /// leave workers idle behind the last long chunk.
+  void for_each_unit(int units, const std::function<void(int)>& fn) const;
 
  private:
   RunnerConfig config_;

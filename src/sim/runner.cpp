@@ -8,14 +8,51 @@
 
 namespace rrb {
 
+namespace {
+
+/// Chunks of `chunk` consecutive trials that cover [0, trials). 64-bit
+/// intermediate: trials + chunk - 1 must not overflow.
+[[nodiscard]] int chunk_count(int trials, long long chunk) {
+  return static_cast<int>((trials + chunk - 1) / chunk);
+}
+
+/// fn(index, begin, end) for every `chunk`-trial range of [0, trials), on
+/// up to `threads` workers, inside the runner/for_each_chunk and
+/// runner/chunk spans.
+void run_chunks(int trials, long long chunk, int threads,
+                const std::function<void(int, int, int)>& fn) {
+  RRB_REQUIRE(trials >= 0, "trials must be >= 0");
+  RRB_REQUIRE(fn != nullptr, "for_each_chunk needs a callable");
+  if (trials == 0) return;
+
+  const int chunks = chunk_count(trials, chunk);
+  const int workers = std::min(chunks, threads);
+
+  telemetry::Span pool_span("runner", "for_each_chunk");
+  if (pool_span.active())
+    pool_span.set_args("{\"trials\":" + std::to_string(trials) +
+                       ",\"chunks\":" + std::to_string(chunks) +
+                       ",\"workers\":" + std::to_string(workers) + "}");
+
+  parallel_for(chunks, workers, [&](int index) {
+    const long long begin = index * chunk;
+    const long long end = std::min<long long>(trials, begin + chunk);
+    telemetry::Span chunk_span("runner", "chunk");
+    if (chunk_span.active())
+      chunk_span.set_args("{\"begin\":" + std::to_string(begin) +
+                          ",\"end\":" + std::to_string(end) + "}");
+    fn(index, static_cast<int>(begin), static_cast<int>(end));
+  });
+}
+
+}  // namespace
+
 ParallelRunner::ParallelRunner(RunnerConfig config) : config_(config) {
   RRB_REQUIRE(config_.threads >= 0, "RunnerConfig.threads must be >= 0");
-  RRB_REQUIRE(config_.chunk >= 0, "RunnerConfig.chunk must be >= 0");
   RRB_REQUIRE(config_.batch >= 0, "RunnerConfig.batch must be >= 0");
 }
 
 int ParallelRunner::resolved_chunk(int trials) const {
-  if (config_.chunk > 0) return config_.chunk;
   // Bounded default: ~4 chunks per worker keeps dynamic load balancing
   // effective with few claims on the shared counter.
   const long long slots = 4LL * rrb::resolve_threads(config_);
@@ -24,10 +61,7 @@ int ParallelRunner::resolved_chunk(int trials) const {
 }
 
 int ParallelRunner::num_chunks(int trials) const {
-  // 64-bit intermediate: chunk may be INT_MAX and trials + chunk - 1
-  // must not overflow.
-  const long long chunk = resolved_chunk(trials);
-  return static_cast<int>((trials + chunk - 1) / chunk);
+  return chunk_count(trials, resolved_chunk(trials));
 }
 
 std::pair<int, int> ParallelRunner::chunk_bounds(int index, int trials) const {
@@ -41,27 +75,8 @@ std::pair<int, int> ParallelRunner::chunk_bounds(int index, int trials) const {
 
 void ParallelRunner::for_each_chunk(
     int trials, const std::function<void(int, int, int)>& fn) const {
-  RRB_REQUIRE(trials >= 0, "trials must be >= 0");
-  RRB_REQUIRE(fn != nullptr, "for_each_chunk needs a callable");
-  if (trials == 0) return;
-
-  const int chunks = num_chunks(trials);
-  const int workers = std::min(chunks, rrb::resolve_threads(config_));
-
-  telemetry::Span pool_span("runner", "for_each_chunk");
-  if (pool_span.active())
-    pool_span.set_args("{\"trials\":" + std::to_string(trials) +
-                       ",\"chunks\":" + std::to_string(chunks) +
-                       ",\"workers\":" + std::to_string(workers) + "}");
-
-  parallel_for(chunks, workers, [&](int index) {
-    const auto [begin, end] = chunk_bounds(index, trials);
-    telemetry::Span chunk_span("runner", "chunk");
-    if (chunk_span.active())
-      chunk_span.set_args("{\"begin\":" + std::to_string(begin) +
-                          ",\"end\":" + std::to_string(end) + "}");
-    fn(index, begin, end);
-  });
+  run_chunks(trials, resolved_chunk(trials), rrb::resolve_threads(config_),
+             fn);
 }
 
 void ParallelRunner::for_each_trial(
@@ -70,6 +85,13 @@ void ParallelRunner::for_each_trial(
   for_each_chunk(trials, [&fn](int /*index*/, int begin, int end) {
     for (int trial = begin; trial < end; ++trial) fn(trial);
   });
+}
+
+void ParallelRunner::for_each_unit(int units,
+                                   const std::function<void(int)>& fn) const {
+  RRB_REQUIRE(fn != nullptr, "for_each_unit needs a callable");
+  run_chunks(units, 1, rrb::resolve_threads(config_),
+             [&fn](int unit, int /*begin*/, int /*end*/) { fn(unit); });
 }
 
 }  // namespace rrb

@@ -326,11 +326,11 @@ TEST(BatchedEngine, SingleLaneMatchesSequentialEngine) {
 }
 
 TEST(BatchedEngine, StateDependentHookFreeProtocolMatchesSequential) {
-  // A hook-free protocol whose action reads the node's local state. It must
-  // NOT declare kActionIgnoresState, so the kernel has to route it through
-  // the generic per-(node, lane) action scan rather than the classical
-  // broadcast-one-action path — this pins that branch now that all four
-  // baselines take the classical one.
+  // A hook-free protocol whose action reads the node's local state. It does
+  // NOT declare kActionIgnoresState, so the ladder refuses the classic
+  // kernel ("state-dependent action") and the lanes take the sequential
+  // fallback — this pins that route for hook-free protocols other than the
+  // four baselines, four-choice's route included.
   struct TiredPush {
     Action action(NodeId /*v*/, const NodeLocalState& state, Round t) {
       // Push for the three rounds after becoming informed, then go quiet.
@@ -399,7 +399,8 @@ TEST(BatchedKernelLadder, PinsEachSchemesKernelAtFourLanes) {
       {BroadcastScheme::kPushPull, false, BatchedKernel::kClassic, ""},
       {BroadcastScheme::kFixedHorizonPush, false, BatchedKernel::kClassic,
        ""},
-      {BroadcastScheme::kFourChoice, false, BatchedKernel::kBitmask, ""},
+      {BroadcastScheme::kFourChoice, false, BatchedKernel::kSequential,
+       "state-dependent action"},
       {BroadcastScheme::kMedianCounter, false, BatchedKernel::kSequential,
        "protocol hooks"},
       {BroadcastScheme::kThrottledPushPull, false,
@@ -436,6 +437,18 @@ TEST(BatchedKernelLadder, PinsEachSchemesKernelAtFourLanes) {
   expect_choice(batched_kernel_for<PushProtocol, detail::NoMetrics>(
                     ChannelConfig{}, 65, topo),
                 BatchedKernel::kSequential, "lanes > 64");
+  // Channels the classic kernel does not model: i.i.d. channel failures
+  // and more than one call per node per round.
+  ChannelConfig failing;
+  failing.failure_prob = 0.05;
+  expect_choice(
+      batched_kernel_for<PushProtocol, detail::NoMetrics>(failing, 4, topo),
+      BatchedKernel::kSequential, "failure_prob > 0");
+  ChannelConfig two_choices;
+  two_choices.num_choices = 2;
+  expect_choice(batched_kernel_for<PushProtocol, detail::NoMetrics>(
+                    two_choices, 4, topo),
+                BatchedKernel::kSequential, "choices > 1");
 }
 
 /// A graph with slot 0 permanently dead — the one refusal no scheme or

@@ -235,6 +235,46 @@ TEST(CampaignExpand, RejectsInvalidCombinations) {
   EXPECT_THROW((void)expand_cells(qr_seq), std::runtime_error);
 }
 
+TEST(CampaignExpand, ChannelOverridesFailAtLoadWithTheEnginesCheck) {
+  // choices = 65 overflows the engines' 64-entry choice buffers. The spec
+  // must fail when its cells expand — before a runner writes a single
+  // artifact — with the engines' own message, not when the cell runs.
+  const auto spec_with_choices = [](int choices) {
+    std::istringstream in("name = choices\n"
+                          "scheme = push\n"
+                          "n = 128\n"
+                          "d = 8\n"
+                          "trials = 1\n"
+                          "choices = " +
+                          std::to_string(choices) + "\n");
+    return parse_spec(in);
+  };
+  const CampaignSpec too_many = spec_with_choices(65);
+  try {
+    (void)expand_cells(too_many);
+    FAIL() << "choices = 65 expanded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("choices capped at 64"),
+              std::string::npos)
+        << e.what();
+  }
+  CampaignConfig config;
+  config.out_dir = temp_dir("choices65");
+  EXPECT_THROW((void)CampaignRunner(too_many, config), std::runtime_error);
+  EXPECT_FALSE(fs::exists(config.out_dir + "/manifest.jsonl"));
+
+  const CampaignSpec at_cap = spec_with_choices(64);
+  const auto cells = expand_cells(at_cap);
+  ASSERT_EQ(cells.size(), 1U);
+  EXPECT_EQ(cells[0].choices, 64);
+  RunnerConfig one;
+  one.threads = 1;
+  EXPECT_EQ(
+      CampaignRunner::run_cell(at_cap, cells[0], one).find_number(
+          "completion_rate"),
+      1.0);
+}
+
 TEST(CampaignExpand, FamiliesThatDeriveDegreeNormaliseTheDAxis) {
   // hypercube/complete ignore d: a multi-valued d axis would duplicate
   // identical experiments under different seeds, so it is rejected, and
@@ -460,15 +500,13 @@ TEST(CampaignRunCell, RecordIsIdenticalForAnyTrialRunnerConfig) {
     one.threads = 1;
     RunnerConfig eight;
     eight.threads = 8;
-    RunnerConfig chunked;
-    chunked.threads = 2;
-    chunked.chunk = 2;
+    RunnerConfig two;
+    two.threads = 2;
     const std::string baseline =
         CampaignRunner::run_cell(spec, cell, one).to_line();
     EXPECT_EQ(CampaignRunner::run_cell(spec, cell, eight).to_line(), baseline)
         << cell.key;
-    EXPECT_EQ(CampaignRunner::run_cell(spec, cell, chunked).to_line(),
-              baseline)
+    EXPECT_EQ(CampaignRunner::run_cell(spec, cell, two).to_line(), baseline)
         << cell.key;
   }
 }
@@ -483,11 +521,9 @@ struct ArtifactBytes {
 };
 
 ArtifactBytes run_to_dir(const CampaignSpec& spec, const std::string& dir,
-                         int threads, const CellProgress& progress = {},
-                         int chunk = 0) {
+                         int threads, const CellProgress& progress = {}) {
   CampaignConfig config;
   config.runner.threads = threads;
-  config.runner.chunk = chunk;
   config.out_dir = dir;
   CampaignRunner runner(spec, config);
   const CampaignOutcome outcome = runner.run(progress);
@@ -515,15 +551,15 @@ void halve_manifest(const std::string& dir, const std::string& manifest) {
 
 TEST(CampaignDeterminism, ArtifactsAreByteIdenticalAcrossThreadCounts) {
   // Every schedule of the one (cell, trial) queue — one worker, several,
-  // more workers than a cell has trials, and claims of three pairs that
-  // straddle cell boundaries — commits cells in cell order, so even the
-  // manifest's line order is schedule-independent.
+  // an odd count, and more workers than a cell has trials — commits cells
+  // in cell order, so even the manifest's line order is
+  // schedule-independent.
   const CampaignSpec spec = tiny_spec();
   const ArtifactBytes t1 = run_to_dir(spec, temp_dir("t1"), 1);
   const std::vector<std::pair<std::string, ArtifactBytes>> schedules = {
       {"t2", run_to_dir(spec, temp_dir("t2"), 2)},
       {"t8", run_to_dir(spec, temp_dir("t8"), 8)},
-      {"t4c3", run_to_dir(spec, temp_dir("t4c3"), 4, {}, /*chunk=*/3)},
+      {"t3", run_to_dir(spec, temp_dir("t3"), 3)},
   };
   for (const auto& [name, bytes] : schedules) {
     SCOPED_TRACE(name);
@@ -795,15 +831,13 @@ TEST(CampaignMetrics, MetricColumnsAreDeterministicAcrossRunnerConfigs) {
     one.threads = 1;
     RunnerConfig eight;
     eight.threads = 8;
-    RunnerConfig chunked;
-    chunked.threads = 2;
-    chunked.chunk = 2;
+    RunnerConfig two;
+    two.threads = 2;
     const std::string baseline =
         CampaignRunner::run_cell(spec, cell, one).to_line();
     EXPECT_EQ(CampaignRunner::run_cell(spec, cell, eight).to_line(), baseline)
         << cell.key;
-    EXPECT_EQ(CampaignRunner::run_cell(spec, cell, chunked).to_line(),
-              baseline)
+    EXPECT_EQ(CampaignRunner::run_cell(spec, cell, two).to_line(), baseline)
         << cell.key;
   }
 }

@@ -1,7 +1,8 @@
 /// The deterministic parallel runner: scheduling unit tests, plus the
 /// determinism regression suite pinning the seeding contract — the same
 /// (seed, trials) produces byte-identical results for every thread count
-/// and for chunked vs. unchunked scheduling, across the paper's schemes.
+/// (and so for every chunk size the runner resolves), across the paper's
+/// schemes.
 
 #include "rrb/sim/runner.hpp"
 
@@ -33,14 +34,16 @@ namespace {
 // ParallelRunner scheduling unit tests.
 
 TEST(Runner, ChunkBoundsPartitionTrials) {
+  // One worker resolves 10 trials to chunks of ceil(10 / 4) = 3.
   RunnerConfig cfg;
-  cfg.chunk = 4;
+  cfg.threads = 1;
   ParallelRunner runner(cfg);
-  EXPECT_EQ(runner.num_chunks(9), 3);
-  EXPECT_EQ(runner.chunk_bounds(0, 9), (std::pair<int, int>{0, 4}));
-  EXPECT_EQ(runner.chunk_bounds(1, 9), (std::pair<int, int>{4, 8}));
-  EXPECT_EQ(runner.chunk_bounds(2, 9), (std::pair<int, int>{8, 9}));
-  EXPECT_THROW((void)runner.chunk_bounds(3, 9), std::logic_error);
+  EXPECT_EQ(runner.num_chunks(10), 4);
+  EXPECT_EQ(runner.chunk_bounds(0, 10), (std::pair<int, int>{0, 3}));
+  EXPECT_EQ(runner.chunk_bounds(1, 10), (std::pair<int, int>{3, 6}));
+  EXPECT_EQ(runner.chunk_bounds(2, 10), (std::pair<int, int>{6, 9}));
+  EXPECT_EQ(runner.chunk_bounds(3, 10), (std::pair<int, int>{9, 10}));
+  EXPECT_THROW((void)runner.chunk_bounds(4, 10), std::logic_error);
 }
 
 TEST(Runner, DefaultChunkIsBoundedByWorkerCount) {
@@ -56,11 +59,6 @@ TEST(Runner, DefaultChunkIsBoundedByWorkerCount) {
   // Tiny sweeps still get per-trial chunks (full dynamic balancing).
   EXPECT_EQ(runner.resolved_chunk(7), 1);
   EXPECT_EQ(runner.num_chunks(7), 7);
-  // An explicit chunk is honoured verbatim, whatever the trial count.
-  cfg.chunk = 5;
-  ParallelRunner explicit_chunk(cfg);
-  EXPECT_EQ(explicit_chunk.resolved_chunk(1'000'000), 5);
-  EXPECT_EQ(explicit_chunk.num_chunks(10), 2);
 }
 
 TEST(Runner, ExplicitThreadsResolveVerbatim) {
@@ -74,9 +72,6 @@ TEST(Runner, ExplicitThreadsResolveVerbatim) {
 TEST(Runner, RejectsNegativeConfig) {
   RunnerConfig bad;
   bad.threads = -1;
-  EXPECT_THROW(ParallelRunner{bad}, std::logic_error);
-  bad.threads = 0;
-  bad.chunk = -2;
   EXPECT_THROW(ParallelRunner{bad}, std::logic_error);
 }
 
@@ -125,32 +120,36 @@ class RunnerThreadGrid : public ::testing::TestWithParam<int> {};
 TEST_P(RunnerThreadGrid, EveryTrialRunsExactlyOnce) {
   RunnerConfig cfg;
   cfg.threads = GetParam();
-  cfg.chunk = 3;
   constexpr int kTrials = 50;
   std::vector<std::atomic<int>> hits(kTrials);
   ParallelRunner runner(cfg);
-  runner.for_each_trial(kTrials, [&](int trial) {
+  const auto hit = [&](int trial) {
     ASSERT_GE(trial, 0);
     ASSERT_LT(trial, kTrials);
     ++hits[static_cast<std::size_t>(trial)];
-  });
+  };
+  runner.for_each_trial(kTrials, hit);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // One unit per claim: the campaign scheduler's queue.
+  runner.for_each_unit(kTrials, hit);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
 }
 
 TEST_P(RunnerThreadGrid, ChunksSeeTheirOwnIndexAndBounds) {
+  // 10 trials resolve to chunks of 3, 2 and 1 at 1, 2 and 8 workers.
   RunnerConfig cfg;
   cfg.threads = GetParam();
-  cfg.chunk = 4;
   ParallelRunner runner(cfg);
+  const int chunk = runner.resolved_chunk(10);
   std::mutex mu;
   std::set<int> seen;
   runner.for_each_chunk(10, [&](int index, int begin, int end) {
-    EXPECT_EQ(begin, index * 4);
-    EXPECT_EQ(end, std::min(10, begin + 4));
+    EXPECT_EQ(begin, index * chunk);
+    EXPECT_EQ(end, std::min(10, begin + chunk));
     const std::lock_guard<std::mutex> lock(mu);
     EXPECT_TRUE(seen.insert(index).second);
   });
-  EXPECT_EQ(seen.size(), 3U);
+  EXPECT_EQ(static_cast<int>(seen.size()), runner.num_chunks(10));
 }
 
 TEST_P(RunnerThreadGrid, LowestFailingChunkExceptionWins) {
@@ -316,6 +315,8 @@ TrialOutcome run_scheme(const SchemeCase& scheme, RunnerConfig runner) {
 }
 
 TEST(RunnerDeterminism, RunTrialsIdenticalForThreadCounts) {
+  // 9 trials resolve to chunks of 3, 2 and 1 at threads 1, 2 and 8, so the
+  // thread counts also cross multi-trial chunks with per-trial ones.
   for (const SchemeCase& scheme : scheme_cases()) {
     SCOPED_TRACE(scheme.name);
     RunnerConfig sequential;
@@ -327,41 +328,6 @@ TEST(RunnerDeterminism, RunTrialsIdenticalForThreadCounts) {
       parallel.threads = threads;
       expect_identical(baseline, run_scheme(scheme, parallel));
     }
-  }
-}
-
-TEST(RunnerDeterminism, RunTrialsIdenticalForChunkedScheduling) {
-  for (const SchemeCase& scheme : scheme_cases()) {
-    SCOPED_TRACE(scheme.name);
-    RunnerConfig unchunked;
-    unchunked.threads = 4;
-    unchunked.chunk = 1;
-    const TrialOutcome baseline = run_scheme(scheme, unchunked);
-    for (const int chunk : {2, 4, 100}) {
-      SCOPED_TRACE(chunk);
-      RunnerConfig chunked;
-      chunked.threads = 4;
-      chunked.chunk = chunk;
-      expect_identical(baseline, run_scheme(scheme, chunked));
-    }
-  }
-}
-
-TEST(RunnerDeterminism, DefaultChunkMatchesChunkOne) {
-  // The bounded default chunk (satellite of the batched-engine PR) must
-  // not change any output: chunks are contiguous ascending trial ranges
-  // reduced in chunk order, so per-trial samples enter the Summaries in
-  // trial order for every chunking. threads = 2 over 9 trials defaults to
-  // chunk = 2 — a genuine multi-trial chunk, unlike the old default of 1.
-  for (const SchemeCase& scheme : scheme_cases()) {
-    SCOPED_TRACE(scheme.name);
-    RunnerConfig one;
-    one.threads = 2;
-    one.chunk = 1;
-    const TrialOutcome baseline = run_scheme(scheme, one);
-    RunnerConfig defaulted;
-    defaulted.threads = 2;
-    expect_identical(baseline, run_scheme(scheme, defaulted));
   }
 }
 
@@ -379,6 +345,7 @@ std::vector<SetTracePoint> trace_scheme(const SchemeCase& scheme,
 }
 
 TEST(RunnerDeterminism, TraceSetSizesIdenticalForThreadCountsAndChunks) {
+  // 5 trials resolve to chunks of 2 at threads 1 and of 1 at threads 2, 8.
   for (const SchemeCase& scheme : scheme_cases()) {
     SCOPED_TRACE(scheme.name);
     RunnerConfig sequential;
@@ -390,7 +357,6 @@ TEST(RunnerDeterminism, TraceSetSizesIdenticalForThreadCountsAndChunks) {
       SCOPED_TRACE(threads);
       RunnerConfig parallel;
       parallel.threads = threads;
-      parallel.chunk = threads == 8 ? 2 : 0;  // also cross chunking in
       expect_identical(baseline, trace_scheme(scheme, parallel));
     }
   }

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rrb/core/broadcast.hpp"
@@ -289,54 +290,63 @@ TEST(TelemetryBitIdentity, ObserverStreamsUnchanged) {
 }
 
 TEST(TelemetryBitIdentity, BatchedFallbackSpanNamesItsReason) {
-  // Median-counter's stamp/on_receive hooks keep it off the lockstep
-  // kernels: each batch runs lane by lane on PhoneCallEngine, and the trace
-  // says so — with the refusal reason and a lane count — without changing
-  // a single output.
+  // Median-counter's stamp/on_receive hooks and four-choice's
+  // state-dependent action keep both off the lockstep kernel: each batch
+  // runs lane by lane on PhoneCallEngine, and the trace says so — with the
+  // refusal reason and a lane count — without changing a single output.
   TelemetryGuard guard;
   Rng grng(0x7e1e04);
   const Graph g = random_regular_simple(128, 6, grng);
-  BroadcastOptions opt;
-  opt.scheme = BroadcastScheme::kMedianCounter;
-  opt.seed = 0x7e1e05;
-  opt.trials = 9;
-  opt.runner.threads = 2;
-  opt.runner.batch = 4;
-  const TrialOutcome plain = broadcast_trials(g, opt);
+  const std::pair<BroadcastScheme, const char*> cases[] = {
+      {BroadcastScheme::kMedianCounter, "protocol hooks"},
+      {BroadcastScheme::kFourChoice, "state-dependent action"},
+  };
+  for (const auto& [scheme, reason] : cases) {
+    SCOPED_TRACE(scheme_name(scheme));
+    BroadcastOptions opt;
+    opt.scheme = scheme;
+    opt.seed = 0x7e1e05;
+    opt.trials = 9;
+    opt.runner.threads = 2;
+    opt.runner.batch = 4;
+    const TrialOutcome plain = broadcast_trials(g, opt);
 
-  telemetry::enable();
-  const TrialOutcome traced = broadcast_trials(g, opt);
-  telemetry::enable(false);
-  const std::vector<telemetry::Event> events = telemetry::drain();
+    telemetry::enable();
+    const TrialOutcome traced = broadcast_trials(g, opt);
+    telemetry::enable(false);
+    const std::vector<telemetry::Event> events = telemetry::drain();
 
-  const telemetry::Event* fallback =
-      find_event(events, 'X', "batched:sequential");
-  ASSERT_NE(fallback, nullptr);
-  EXPECT_EQ(fallback->category, "batched");
-  EXPECT_NE(fallback->args_json.find("\"reason\":\"protocol hooks\""),
-            std::string::npos)
-      << fallback->args_json;
-  EXPECT_EQ(find_event(events, 'X', "batched:general"), nullptr);
-  const telemetry::Event* lanes =
-      find_event(events, 'C', "batched.sequential_lanes");
-  ASSERT_NE(lanes, nullptr);
-  EXPECT_EQ(lanes->args_json, "{\"value\":9}");
+    const telemetry::Event* fallback =
+        find_event(events, 'X', "batched:sequential");
+    ASSERT_NE(fallback, nullptr);
+    EXPECT_EQ(fallback->category, "batched");
+    EXPECT_NE(fallback->args_json.find(std::string("\"reason\":\"") +
+                                       reason + "\""),
+              std::string::npos)
+        << fallback->args_json;
+    EXPECT_EQ(find_event(events, 'X', "batched:general"), nullptr);
+    EXPECT_EQ(find_event(events, 'X', "batched:bitmask"), nullptr);
+    const telemetry::Event* lanes =
+        find_event(events, 'C', "batched.sequential_lanes");
+    ASSERT_NE(lanes, nullptr);
+    EXPECT_EQ(lanes->args_json, "{\"value\":9}");
 
-  ASSERT_EQ(traced.runs.size(), plain.runs.size());
-  for (std::size_t i = 0; i < traced.runs.size(); ++i) {
-    SCOPED_TRACE("trial " + std::to_string(i));
-    const RunResult& a = traced.runs[i];
-    const RunResult& b = plain.runs[i];
-    EXPECT_EQ(a.rounds, b.rounds);
-    EXPECT_EQ(a.completion_round, b.completion_round);
-    EXPECT_EQ(a.push_tx, b.push_tx);
-    EXPECT_EQ(a.pull_tx, b.pull_tx);
-    EXPECT_EQ(a.channels_opened, b.channels_opened);
-    EXPECT_EQ(a.final_informed, b.final_informed);
-    EXPECT_EQ(a.all_informed, b.all_informed);
+    ASSERT_EQ(traced.runs.size(), plain.runs.size());
+    for (std::size_t i = 0; i < traced.runs.size(); ++i) {
+      SCOPED_TRACE("trial " + std::to_string(i));
+      const RunResult& a = traced.runs[i];
+      const RunResult& b = plain.runs[i];
+      EXPECT_EQ(a.rounds, b.rounds);
+      EXPECT_EQ(a.completion_round, b.completion_round);
+      EXPECT_EQ(a.push_tx, b.push_tx);
+      EXPECT_EQ(a.pull_tx, b.pull_tx);
+      EXPECT_EQ(a.channels_opened, b.channels_opened);
+      EXPECT_EQ(a.final_informed, b.final_informed);
+      EXPECT_EQ(a.all_informed, b.all_informed);
+    }
+    EXPECT_EQ(traced.rounds.mean, plain.rounds.mean);
+    EXPECT_EQ(traced.total_tx.mean, plain.total_tx.mean);
   }
-  EXPECT_EQ(traced.rounds.mean, plain.rounds.mean);
-  EXPECT_EQ(traced.total_tx.mean, plain.total_tx.mean);
 }
 
 std::string read_file(const std::string& path) {

@@ -139,7 +139,6 @@ TEST(Trials, RunnerConfigPropagatesWithoutChangingResults) {
   sequential.runner.threads = 1;
   TrialConfig pooled = quick_config(6);
   pooled.runner.threads = 4;
-  pooled.runner.chunk = 2;
   const TrialOutcome a =
       run_trials(regular_factory(128, 4), push_factory(), sequential);
   const TrialOutcome b =
