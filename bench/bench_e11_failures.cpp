@@ -1,60 +1,30 @@
 /// E11 — Robustness to communication failures (§1: "efficiently handles
-/// limited communication failures"): channels fail independently with
-/// probability f at establishment. The fixed-horizon algorithm tolerates
-/// moderate f; a larger alpha buys back reliability.
-///
-/// The i.i.d. failure grid is a thin driver over the campaign subsystem
-/// (bench/campaigns/e11_failures.campaign; the coverage column comes from
-/// the records' coverage_mean). The structured failure models below are
-/// not a campaign axis and stay composed directly against the engine.
+/// limited communication failures"), structured half: fail-stop nodes and
+/// periodic outages, which are not a campaign axis and stay composed
+/// directly against the engine. The i.i.d. channel-failure grid (f x alpha)
+/// is bench/campaigns/e11_failures.campaign; run it with
+///   rrb_campaign --spec bench/campaigns/e11_failures.campaign
+/// whose report line renders that table. This binary reuses the spec's n
+/// and d so both halves describe the same graphs.
+
+#include <unordered_set>
 
 #include "bench_util.hpp"
 
 #include "rrb/phonecall/failure_models.hpp"
+#include "rrb/protocols/sequentialised.hpp"
 
 using namespace rrb;
 using namespace rrb::bench;
 
 int main() {
-  banner("E11: channel failures — robustness of the four-choice algorithm",
-         "claim: limited failures cost coverage only marginally; "
-         "alpha scales the safety margin");
+  banner("E11: structured failures — where the four-choice algorithm breaks",
+         "claim: fail-stop minorities cost healthy nodes nothing; "
+         "synchronised outages fall outside the theorem");
 
   const exp::CampaignSpec spec = exp::load_spec(campaign_path("e11_failures"));
   const NodeId n = spec.n_values.front();
   const NodeId d = spec.d_values.front();
-  exp::CampaignRunner runner(spec, {});
-  const exp::CampaignOutcome out = runner.run();
-
-  Table table({"fail prob", "alpha", "ok", "coverage", "done@", "tx/node"});
-  table.set_title("Algorithm 1 under channel failures, n = " +
-                  std::to_string(n) + ", d = " + std::to_string(d) + " (" +
-                  std::to_string(spec.trials) + " trials)");
-  BenchReport json("e11_failures");
-  for (const double alpha : spec.alphas) {
-    for (const double f : spec.failures) {
-      const exp::JsonObject& record =
-          find_record(out.cells, [alpha, f](const exp::CampaignCell& cell) {
-            return cell.alpha == alpha && cell.failure == f;
-          });
-      table.begin_row();
-      table.add(f, 2);
-      table.add(alpha, 1);
-      table.add(record_number(record, "completion_rate"), 2);
-      table.add(record_number(record, "coverage_mean"), 6);
-      table.add(record_number(record, "completion_mean"), 1);
-      table.add(record_number(record, "tx_per_node_mean"), 2);
-      json.row()
-          .set("failure", f)
-          .set("alpha", alpha)
-          .set("completion_rate", record_number(record, "completion_rate"))
-          .set("coverage_mean", record_number(record, "coverage_mean"))
-          .set("tx_per_node_mean",
-               record_number(record, "tx_per_node_mean"));
-    }
-  }
-  std::cout << table << "\n";
-  json.write();
 
   // Structured failures: fail-stop nodes and periodic outages (see
   // failure_models.hpp). Coverage is reported over *healthy* nodes for the
@@ -137,15 +107,14 @@ int main() {
   }
   std::cout << structured << "\n";
   std::cout
-      << "expected shape: i.i.d. channel failures (top table) cost nothing "
-         "but delay —\nthe paper's 'limited communication failures' regime. "
-         "Structured faults expose\nthe model's boundaries honestly: "
-         "healthy nodes route around fail-stop\nminorities perfectly, but "
-         "*synchronised* periodic outages break Algorithm 1's\npush-once "
-         "phase and its single pull round (coverage collapses) — these are\n"
-         "correlated failures outside the theorem's independence "
-         "assumptions. The\nsequentialised variant smears each logical "
-         "round over four steps, so the\nsame 1-in-4 outage pattern only "
-         "costs it one sub-step per round and coverage\nrecovers.\n";
+      << "expected shape: structured faults expose the model's boundaries "
+         "honestly:\nhealthy nodes route around fail-stop minorities "
+         "perfectly, but *synchronised*\nperiodic outages break Algorithm "
+         "1's push-once phase and its single pull\nround (coverage "
+         "collapses) — these are correlated failures outside the\n"
+         "theorem's independence assumptions. The sequentialised variant "
+         "smears each\nlogical round over four steps, so the same 1-in-4 "
+         "outage pattern only costs\nit one sub-step per round and coverage "
+         "recovers.\n";
   return 0;
 }

@@ -272,7 +272,7 @@ void bench_trials_row(bench::BenchReport& json, const Graph& g,
 }
 
 /// trials/{push,push-pull}/2^19/d19/{seq,B4}: E18's density point
-/// (bench_e18_density, perfbench's large-n-push) on bigtopo's chunked
+/// (e18_density.campaign, perfbench's large-n-push) on bigtopo's chunked
 /// configuration model, a 40 MB CSR far past L2, where the classic
 /// kernel's round loop is latency-bound on the CSR. One thread, 4 trials
 /// per sweep, so B4 is one lane group.

@@ -1,8 +1,10 @@
 #pragma once
 
-/// Shared helpers for the experiment harness binaries (bench_e1 .. e17).
-/// Every binary runs argument-free with laptop-scale defaults and prints
-/// paper-style tables; EXPERIMENTS.md records the claim each one checks.
+/// Shared helpers for the experiment harness binaries (bench_e*, bench_x*,
+/// bench_micro_engine) and rrb_campaign. Every bench binary runs
+/// argument-free with laptop-scale defaults and prints paper-style tables;
+/// experiments whose table is one row per campaign cell are specs with a
+/// `report =` line instead (bench/campaigns/).
 ///
 /// Besides the tables, every bench can emit a machine-readable
 /// BENCH_<name>.json (see BenchReport below) so the repo accumulates a
@@ -27,8 +29,6 @@
 #include "rrb/phonecall/engine.hpp"
 #include "rrb/protocols/baselines.hpp"
 #include "rrb/protocols/four_choice.hpp"
-#include "rrb/protocols/median_counter.hpp"
-#include "rrb/protocols/sequentialised.hpp"
 #include "rrb/protocols/throttled.hpp"
 #include "rrb/sim/runner.hpp"
 #include "rrb/sim/trace.hpp"
@@ -108,9 +108,10 @@ using JsonObject = rrb::exp::JsonObject;
 /// files from different PRs are comparable.
 class BenchReport : public rrb::exp::BenchReport {
  public:
-  explicit BenchReport(std::string name)
-      : rrb::exp::BenchReport(std::move(name), RRB_GIT_DESCRIBE,
-                              report_threads()) {}
+  /// `threads` defaults to the automatic pool size; a driver with its own
+  /// --threads flag passes the count it resolved.
+  explicit BenchReport(std::string name, int threads = report_threads())
+      : rrb::exp::BenchReport(std::move(name), RRB_GIT_DESCRIBE, threads) {}
 
   /// Add a top-level scalar (e.g. a fitted slope). Re-declared so the
   /// builder keeps returning the bench-side type.
@@ -162,10 +163,6 @@ inline GraphFactory regular_graph(NodeId n, NodeId d) {
   return [n, d](Rng& rng) { return random_regular_simple(n, d, rng); };
 }
 
-inline GraphFactory config_model_graph(NodeId n, NodeId d) {
-  return [n, d](Rng& rng) { return configuration_model(n, d, rng); };
-}
-
 inline ProtocolFactory four_choice_protocol(std::uint64_t n_estimate,
                                             double alpha = 1.5) {
   return [n_estimate, alpha](const Graph&) {
@@ -176,44 +173,8 @@ inline ProtocolFactory four_choice_protocol(std::uint64_t n_estimate,
   };
 }
 
-inline ProtocolFactory four_choice_large_d_protocol(std::uint64_t n_estimate,
-                                                    double alpha = 1.5) {
-  return [n_estimate, alpha](const Graph&) {
-    FourChoiceConfig cfg;
-    cfg.n_estimate = n_estimate;
-    cfg.alpha = alpha;
-    return make_protocol<FourChoiceLargeDegree>(cfg);
-  };
-}
-
-inline ProtocolFactory push_protocol() {
-  return [](const Graph&) { return make_protocol<PushProtocol>(); };
-}
-
-inline ProtocolFactory pull_protocol() {
-  return [](const Graph&) { return make_protocol<PullProtocol>(); };
-}
-
 inline ProtocolFactory push_pull_protocol() {
   return [](const Graph&) { return make_protocol<PushPullProtocol>(); };
-}
-
-inline ProtocolFactory sequentialised_protocol(std::uint64_t n_estimate,
-                                               double alpha = 1.5) {
-  return [n_estimate, alpha](const Graph&) {
-    FourChoiceConfig cfg;
-    cfg.n_estimate = n_estimate;
-    cfg.alpha = alpha;
-    return make_protocol<SequentialisedFourChoice>(cfg);
-  };
-}
-
-inline ProtocolFactory median_counter_protocol(std::uint64_t n_estimate) {
-  return [n_estimate](const Graph&) {
-    MedianCounterConfig cfg;
-    cfg.n_estimate = n_estimate;
-    return make_protocol<MedianCounterProtocol>(cfg);
-  };
 }
 
 /// Print a proportional-fit line "<label>: y ≈ a*x, R² = r".

@@ -8,6 +8,7 @@
 #include "bench_util.hpp"
 
 #include "rrb/analysis/histogram.hpp"
+#include "rrb/protocols/median_counter.hpp"
 
 using namespace rrb;
 using namespace rrb::bench;

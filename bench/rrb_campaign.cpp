@@ -60,9 +60,12 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "rrb/common/table.hpp"
 #include "rrb/exp/campaign.hpp"
 #include "rrb/exp/distribute.hpp"
+#include "rrb/exp/journal.hpp"
+#include "rrb/exp/report.hpp"
 #include "rrb/exp/spec.hpp"
 #include "rrb/telemetry/telemetry.hpp"
 
@@ -167,105 +170,31 @@ std::vector<fs::path> expand_merge_pattern(const std::string& pattern) {
   return matches;
 }
 
-/// Concatenate shard manifests into <out>/manifest.jsonl via the campaign
-/// subsystem's own resume path: every source line whose header fingerprint
-/// matches `fingerprint` is appended verbatim (byte-preserving, so the
-/// subsequent run reuses the cells), other specs' manifests are refused.
-///
-/// Two-phase: every source (and the target, if it already has content) is
-/// validated fully in memory before a single byte is written, so a refused
-/// merge leaves the target directory exactly as it was — no empty or
-/// headerless manifest for a retry to trip over.
+/// Merge shard manifests into <out>/manifest.jsonl through the campaign
+/// subsystem's one journal merge (exp::merge_journals): every source and
+/// the target are validated against `fingerprint` before the first write,
+/// so a refused merge leaves the target directory as it was, and the
+/// subsequent run reuses every merged cell.
 std::size_t merge_manifests(const std::vector<std::string>& patterns,
                             const std::string& out_dir,
+                            const rrb::exp::CampaignRunner& runner,
                             const std::string& fingerprint) {
-  std::vector<fs::path> sources;
+  std::vector<std::string> sources;
   for (const std::string& pattern : patterns)
-    for (fs::path& dir : expand_merge_pattern(pattern))
-      sources.push_back(std::move(dir));
-
-  // Phase 1a: read and validate the sources.
-  std::string header_line;
-  std::vector<std::string> record_lines;
-  for (const fs::path& dir : sources) {
-    const fs::path manifest = dir / "manifest.jsonl";
-    std::ifstream in(manifest);
-    if (!in)
-      throw std::runtime_error("--merge: " + dir.string() +
-                               " has no manifest.jsonl");
-    std::string line;
-    bool source_verified = false;
-    while (std::getline(in, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      const auto parsed = rrb::exp::parse_flat_json(line);
-      if (parsed) {
-        if (const auto fp = parsed->find_plain("fingerprint")) {
-          if (*fp != fingerprint)
-            throw std::runtime_error(
-                "--merge: " + manifest.string() +
-                " was written by a different campaign spec (fingerprint " +
-                std::string(*fp) + ", this spec is " + fingerprint + ")");
-          source_verified = true;
-          if (header_line.empty()) header_line = line;
-          continue;
-        }
-      }
-      // A damaged line — unparseable (e.g. the truncated tail a killed
-      // shard left) or parseable but keyless — must not spread into the
-      // merged manifest; the loader there would only skip it again.
-      if (!parsed || !parsed->find_plain("key")) continue;
-      if (!source_verified)
-        throw std::runtime_error(
-            "--merge: " + manifest.string() +
-            " has cell records before any fingerprint header — cannot "
-            "verify they belong to this spec");
-      record_lines.push_back(line);
+    for (const fs::path& dir : expand_merge_pattern(pattern)) {
+      if (!fs::is_regular_file(dir / "manifest.jsonl"))
+        throw std::runtime_error("--merge: " + dir.string() +
+                                 " has no manifest.jsonl");
+      sources.push_back((dir / "manifest.jsonl").string());
     }
+  try {
+    return rrb::exp::merge_journals(
+        sources, (fs::path(out_dir) / "manifest.jsonl").string(),
+        runner.spec().name, fingerprint, runner.cells().size(),
+        /*require_header=*/true);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string("--merge: ") + e.what());
   }
-  if (header_line.empty())
-    throw std::runtime_error(
-        "--merge: no source manifest carried a campaign header");
-
-  // Phase 1b: if the target manifest already has content, it must carry a
-  // matching header of its own (an interrupted run of this spec is fine;
-  // anything else would poison the merge).
-  const fs::path out_manifest = fs::path(out_dir) / "manifest.jsonl";
-  bool target_has_header = false;
-  {
-    std::ifstream existing(out_manifest);
-    std::string line;
-    bool has_content = false;
-    while (existing && std::getline(existing, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      has_content = true;
-      const auto parsed = rrb::exp::parse_flat_json(line);
-      if (!parsed) continue;
-      if (const auto fp = parsed->find_plain("fingerprint")) {
-        if (*fp != fingerprint)
-          throw std::runtime_error(
-              "--merge: " + out_manifest.string() +
-              " already belongs to a different campaign spec (fingerprint " +
-              std::string(*fp) + ", this spec is " + fingerprint + ")");
-        target_has_header = true;
-        break;
-      }
-    }
-    if (has_content && !target_has_header)
-      throw std::runtime_error(
-          "--merge: " + out_manifest.string() +
-          " holds records but no campaign header — delete it (or restore "
-          "the header) before merging into this directory");
-  }
-
-  // Phase 2: append, writing exactly one header line overall.
-  fs::create_directories(out_dir);
-  std::ofstream out(out_manifest, std::ios::app);
-  if (!out)
-    throw std::runtime_error("--merge: cannot write " +
-                             out_manifest.string());
-  if (!target_has_header) out << header_line << "\n";
-  for (const std::string& line : record_lines) out << line << "\n";
-  return record_lines.size();
 }
 
 /// A numeric flag value through the spec loader's strict integer rule
@@ -352,12 +281,54 @@ std::string self_exe_path(const char* argv0) {
   return argv0;  // non-Linux fallback; fine as long as argv[0] is runnable
 }
 
-/// A record field for the summary table, or "-" when the cell's execution
-/// path does not produce it (e.g. coverage only exists for churn cells).
-std::string field_or_dash(const rrb::exp::JsonObject& record,
-                          std::string_view key) {
-  if (const auto plain = record.find_plain(key)) return std::string(*plain);
-  return "-";
+/// Print the spec's report (default_report() when it has none) as one
+/// table — the cell key, then one column per expression — and write the
+/// same values to BENCH_<spec name>.json, one row per cell named
+/// `<spec name>/<cell key>` so tools/bench-diff pairs runs. The BENCH file
+/// is a side channel like timing.jsonl: it lands in $RRB_BENCH_JSON_DIR
+/// (default the working directory), never among the artifacts.
+void render_report(const rrb::exp::CampaignSpec& spec,
+                   const rrb::exp::CampaignOutcome& outcome,
+                   rrb::bench::BenchReport& json) {
+  using namespace rrb;
+  std::vector<const exp::JsonObject*> records;
+  for (const exp::CellResult& cell : outcome.cells)
+    records.push_back(&cell.record);
+  // A spec without a report line gets the default columns its records
+  // carry (churn-only grids have no tx_per_node_mean); an explicit column
+  // naming a field no record carries is an error, never a column of dashes.
+  std::vector<exp::ReportExpr> columns = spec.report;
+  if (columns.empty())
+    for (const exp::ReportExpr& column : exp::default_report())
+      for (const exp::JsonObject* record : records)
+        if (column.evaluate(*record)) {
+          columns.push_back(column);
+          break;
+        }
+  const auto values = exp::evaluate_report(columns, records);
+
+  std::vector<std::string> headers{"cell"};
+  for (const exp::ReportExpr& column : columns)
+    headers.push_back(column.text());
+  Table table(std::move(headers));
+  table.set_title("campaign " + spec.name);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::string& key = outcome.cells[i].cell.key;
+    table.begin_row();
+    table.add(key);
+    exp::JsonObject& row = json.row();
+    row.set("name", spec.name + "/" + key);
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      const std::optional<double> value = values[i][c];
+      table.add(value ? exp::format_report_value(*value) : "-");
+      if (value) row.set(columns[c].text(), *value);
+    }
+  }
+  std::cout << table;
+  json.set("cells", static_cast<std::uint64_t>(outcome.cells.size()))
+      .set("computed", static_cast<std::uint64_t>(outcome.computed))
+      .set("reused", static_cast<std::uint64_t>(outcome.reused));
+  json.write();
 }
 
 }  // namespace
@@ -425,13 +396,29 @@ int main(int argc, char** argv) {
     else
       opt.config.out_dir = "campaign_" + spec.name;
 
-    if (!opt.merge_sources.empty() && !opt.list) {
+    exp::CampaignRunner runner(std::move(spec), opt.config);
+
+    if (opt.list) {
+      std::cout << "campaign " << runner.spec().name << ": "
+                << runner.cells().size() << " cells\n";
+      for (const exp::CampaignCell& cell : runner.cells())
+        std::cout << "  [" << cell.index << "] " << cell.key << "  seed 0x"
+                  << std::hex << cell.seed << std::dec << "\n";
+      return 0;
+    }
+
+    // Constructed before any work so its wall_ms spans merge, distribute
+    // and run.
+    bench::BenchReport json(runner.spec().name,
+                            resolve_threads(opt.config.runner));
+
+    if (!opt.merge_sources.empty()) {
       if (opt.config.out_dir.empty())
         throw std::runtime_error("--merge needs a persistent --out directory");
       std::ostringstream fingerprint;
-      fingerprint << "0x" << std::hex << exp::spec_fingerprint(spec);
+      fingerprint << "0x" << std::hex << exp::spec_fingerprint(runner.spec());
       const std::size_t merged = merge_manifests(
-          opt.merge_sources, opt.config.out_dir, fingerprint.str());
+          opt.merge_sources, opt.config.out_dir, runner, fingerprint.str());
       std::cout << "merged " << merged << " cell records into "
                 << opt.config.out_dir << "/manifest.jsonl\n";
     }
@@ -441,7 +428,7 @@ int main(int argc, char** argv) {
     // in-process run — it reuses every merged cell, computes any cells a
     // permanently-failed worker abandoned, and writes the final artifacts,
     // byte-identical to a single-process run.
-    if (opt.distribute > 0 && !opt.list) {
+    if (opt.distribute > 0) {
       if (opt.config.out_dir.empty())
         throw std::runtime_error(
             "--distribute needs a persistent --out directory");
@@ -453,25 +440,14 @@ int main(int argc, char** argv) {
       dist.quiet = opt.quiet;
       dist.trace = !opt.trace_path.empty();
       dist.crash_worker0_after = opt.worker_crash_after;
-      const exp::DistributeReport report =
-          exp::distribute_campaign(spec, dist, self_exe_path(argv[0]));
+      const exp::DistributeReport report = exp::distribute_campaign(
+          runner.spec(), dist, self_exe_path(argv[0]));
       std::cout << "[distribute] " << opt.distribute << " workers over "
                 << report.cells << " cells: " << report.merged_after
                 << " computed, " << report.merged_before
                 << " reused from worker journals, " << report.respawns
                 << " respawns, " << report.failed_workers
                 << " workers abandoned\n";
-    }
-
-    exp::CampaignRunner runner(std::move(spec), opt.config);
-
-    if (opt.list) {
-      std::cout << "campaign " << runner.spec().name << ": "
-                << runner.cells().size() << " cells\n";
-      for (const exp::CampaignCell& cell : runner.cells())
-        std::cout << "  [" << cell.index << "] " << cell.key << "  seed 0x"
-                  << std::hex << cell.seed << std::dec << "\n";
-      return 0;
     }
 
     std::cout << "campaign " << runner.spec().name << ": "
@@ -491,17 +467,7 @@ int main(int argc, char** argv) {
                     << (done.reused ? "  (reused)" : "  (computed)") << "\n";
         });
 
-    Table table({"cell", "rounds", "ok", "tx/node", "coverage"});
-    table.set_title("campaign " + runner.spec().name);
-    for (const exp::CellResult& cell : outcome.cells) {
-      table.begin_row();
-      table.add(cell.cell.key);
-      table.add(field_or_dash(cell.record, "rounds_mean"));
-      table.add(field_or_dash(cell.record, "completion_rate"));
-      table.add(field_or_dash(cell.record, "tx_per_node_mean"));
-      table.add(field_or_dash(cell.record, "coverage_mean"));
-    }
-    std::cout << table;
+    render_report(runner.spec(), outcome, json);
     std::cout << outcome.computed << " cells computed, " << outcome.reused
               << " reused from the manifest\n";
     if (!outcome.manifest_path.empty())

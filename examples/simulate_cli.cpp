@@ -77,6 +77,7 @@ void usage() {
       "                    [--quasirandom] [--failure P] [--alpha A] "
       "[--seed S] [--trials T]\n"
       "                    [--threads W] [--json PATH] [--trace PATH]\n"
+      "                    [--metrics LIST]\n"
       "\n"
       "  --graph chunked      rrb::bigtopo chunked configuration model "
       "(compact CSR\n"

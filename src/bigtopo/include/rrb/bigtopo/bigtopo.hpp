@@ -39,7 +39,7 @@
 /// (rrb::parallel_for, rrb/common/runner_config.hpp) with
 /// min(batches, resolve_threads(RunnerConfig{})) workers — the
 /// `RunnerConfig::threads = 0` resolution: $RRB_THREADS when set, else one
-/// per hardware core. `chunks = 1` is one batch and runs inline on the
+/// per CPU in the affinity mask. `chunks = 1` is one batch and runs inline on the
 /// calling thread. The configuration model's fill and both generators'
 /// per-node row sorts run batched this way; chunked_random_out's count and
 /// fill passes share the offset cursors and stay sequential.

@@ -23,7 +23,8 @@ namespace rrb {
 /// (rrb/sim/runner.hpp).
 struct RunnerConfig {
   /// Worker threads. 0 = automatic: $RRB_THREADS when set to a positive
-  /// integer, otherwise one per hardware core. 1 = run inline on the
+  /// integer, otherwise one per CPU the calling thread may run on (see
+  /// resolve_threads). 1 = run inline on the
   /// calling thread (no pool is spawned).
   int threads = 0;
 
@@ -40,7 +41,9 @@ struct RunnerConfig {
 
 /// Worker threads a pool built from `config` would use, before capping by
 /// the number of tasks: config.threads when positive, else $RRB_THREADS
-/// when set to a positive integer, else one per hardware core (minimum 1).
+/// when set to a positive integer, else one per CPU in the calling
+/// thread's affinity mask (hardware_concurrency() where there is no mask;
+/// minimum 1).
 [[nodiscard]] int resolve_threads(const RunnerConfig& config);
 
 /// Invoke task(i) once for every i in [0, tasks) on up to `workers`

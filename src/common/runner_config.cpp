@@ -6,6 +6,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "rrb/common/check.hpp"
 
 namespace rrb {
@@ -25,13 +29,26 @@ int env_threads() {
   return static_cast<int>(v);
 }
 
+/// CPUs the calling thread may run on: its affinity mask's size (taskset,
+/// cpusets), else hardware_concurrency(), which counts every online core
+/// whether or not this process may use it.
+int available_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    if (const int count = CPU_COUNT(&set); count > 0) return count;
+#endif
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
 }  // namespace
 
 int resolve_threads(const RunnerConfig& config) {
   if (config.threads > 0) return config.threads;
   if (const int env = env_threads(); env > 0) return env;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return available_cpus();
 }
 
 void parallel_for(int tasks, int workers,

@@ -65,12 +65,11 @@ void write_heartbeat(const std::string& path, std::size_t journal_cells) {
   return true;
 }
 
-/// Merge every record of every `<out>/workers/w*.jsonl` journal that the
-/// campaign manifest does not already hold into the manifest (validating
-/// each journal's fingerprint header on load). Worker journals are visited
-/// in sorted path order and each journal's records in key order, so the
-/// appended lines are deterministic given the same set of journals; the
-/// final artifacts never depend on manifest line order anyway.
+/// Merge every `<out>/workers/w*.jsonl` journal into the campaign manifest
+/// (merge_journals: fingerprint-validated, deduplicated). Worker journals
+/// are visited in sorted path order, so the appended lines are
+/// deterministic given the same set of journals; the final artifacts never
+/// depend on manifest line order anyway.
 std::size_t merge_worker_journals(const CampaignSpec& spec,
                                   const std::string& out_dir,
                                   const std::string& fingerprint,
@@ -83,23 +82,8 @@ std::size_t merge_worker_journals(const CampaignSpec& spec,
         journal_paths.push_back(entry.path().string());
   std::sort(journal_paths.begin(), journal_paths.end());
   if (journal_paths.empty()) return 0;
-
-  const std::string manifest_path = out_dir + "/manifest.jsonl";
-  Journal manifest = load_journal(manifest_path, fingerprint);
-  JournalWriter writer(manifest_path, manifest, spec.name, fingerprint,
-                       total_cells);
-  std::size_t merged = 0;
-  for (const std::string& path : journal_paths) {
-    const Journal journal = load_journal(path, fingerprint);
-    for (const auto& [key, record] : journal.records) {
-      if (manifest.records.count(key) != 0) continue;  // duplicate cell:
-      // identical bytes by purity, so keeping the first is arbitrary-safe
-      writer.append(record);
-      manifest.records.emplace(key, record);
-      ++merged;
-    }
-  }
-  return merged;
+  return merge_journals(journal_paths, out_dir + "/manifest.jsonl", spec.name,
+                        fingerprint, total_cells);
 }
 
 }  // namespace

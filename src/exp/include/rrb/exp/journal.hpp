@@ -4,6 +4,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "rrb/exp/artifact.hpp"
 
@@ -53,6 +54,25 @@ struct Journal {
 /// to a spec must not be reused).
 [[nodiscard]] Journal load_journal(const std::string& path,
                                    const std::string& fingerprint);
+
+/// Merge the journals at `sources` into the journal at `target` (created,
+/// with its directory, when missing): every record whose cell key the
+/// target — or an earlier source — does not already hold is appended, in
+/// source order and within a source in key order, so the appended lines
+/// are deterministic. The one merge behind both shard merging
+/// (rrb_campaign --merge) and the distributed executor's worker journals.
+///
+/// Every source and the target are loaded and validated (load_journal's
+/// fingerprint and header checks) before the first write, so a refused
+/// merge leaves the target exactly as it was. With `require_header`, a
+/// merge in which no source carries a header line is refused too. Returns
+/// the number of records appended.
+std::size_t merge_journals(const std::vector<std::string>& sources,
+                           const std::string& target,
+                           const std::string& campaign_name,
+                           const std::string& fingerprint,
+                           std::size_t total_cells,
+                           bool require_header = false);
 
 /// Append journal lines to `path`, repairing a truncated tail first: when
 /// `journal.clean_size` is short of the file's size, the partial final

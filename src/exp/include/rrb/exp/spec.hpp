@@ -9,6 +9,7 @@
 
 #include "rrb/common/types.hpp"
 #include "rrb/core/broadcast.hpp"
+#include "rrb/exp/report.hpp"
 #include "rrb/metrics/registry.hpp"
 
 /// \file spec.hpp
@@ -151,6 +152,12 @@ struct CampaignSpec {
   // version folded into spec_fingerprint(), which guards column changes
   // that are not spec-visible at all.
   std::vector<MetricKind> metrics;
+
+  /// The table rrb_campaign renders (spec line `report = <expr>, ...`;
+  /// see report.hpp). Empty = default_report(). Presentation only: not
+  /// part of cell keys, cell seeds, describe() or the fingerprint, so a
+  /// report edit reuses every journal line.
+  std::vector<ReportExpr> report;
 };
 
 /// One expanded grid point.

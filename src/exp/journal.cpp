@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string_view>
+#include <vector>
 
 namespace rrb::exp {
 
@@ -102,6 +103,34 @@ JournalWriter::JournalWriter(const std::string& path, const Journal& journal,
 
 void JournalWriter::append(const JsonObject& record) {
   out_ << record.to_line() << "\n" << std::flush;
+}
+
+std::size_t merge_journals(const std::vector<std::string>& sources,
+                           const std::string& target,
+                           const std::string& campaign_name,
+                           const std::string& fingerprint,
+                           std::size_t total_cells, bool require_header) {
+  Journal merged = load_journal(target, fingerprint);
+  std::vector<const JsonObject*> fresh;
+  std::vector<Journal> loaded;
+  loaded.reserve(sources.size());  // `fresh` points into these journals
+  bool source_header = false;
+  for (const std::string& path : sources) {
+    loaded.push_back(load_journal(path, fingerprint));
+    source_header = source_header || loaded.back().saw_header;
+    for (const auto& [key, record] : loaded.back().records)
+      if (merged.records.try_emplace(key).second) fresh.push_back(&record);
+  }
+  if (require_header && !source_header)
+    throw std::runtime_error("no source manifest carried a campaign header");
+
+  const std::filesystem::path parent =
+      std::filesystem::path(target).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent);
+  JournalWriter writer(target, merged, campaign_name, fingerprint,
+                       total_cells);
+  for (const JsonObject* record : fresh) writer.append(*record);
+  return fresh.size();
 }
 
 }  // namespace rrb::exp

@@ -420,9 +420,10 @@ std::string describe(const CampaignSpec& spec) {
     }
     out += "\n";
   }
-  // `chunks` is deliberately absent: execution batching is scheduling,
-  // never semantics, so it must not move the fingerprint (a resume under
-  // a different chunk count reuses every journal line).
+  // `chunks` and `report` are deliberately absent: execution batching is
+  // scheduling and a report is presentation, never semantics, so neither
+  // may move the fingerprint (a resume under a different chunk count or
+  // report reuses every journal line).
   // Emitted only when non-empty so a metric-less spec's describe() (and
   // campaign.json echo) is byte-stable regardless of metrics support.
   if (!spec.metrics.empty()) {
@@ -557,6 +558,8 @@ void apply_setting(CampaignSpec& spec, std::string_view key,
     if (!(headroom >= 0.0) || !std::isfinite(headroom))
       fail("churn_headroom must be finite and >= 0");
     spec.churn_headroom = headroom;
+  } else if (key == "report") {
+    spec.report = parse_report(value);
   } else if (key == "metrics") {
     if (trim(value) == "none") {
       spec.metrics.clear();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -10,7 +11,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "rrb/common/math.hpp"
 #include "rrb/core/scheme_dispatch.hpp"
+#include "rrb/exp/journal.hpp"
+#include "rrb/exp/report.hpp"
 #include "rrb/exp/spec.hpp"
 #include "rrb/graph/generators.hpp"
 #include "rrb/rng/rng.hpp"
@@ -890,6 +894,209 @@ TEST(CampaignDeterminism, InMemoryRunMatchesPersistedRecords) {
   for (const CellResult& cell : outcome.cells)
     lines += cell.record.to_line() + "\n";
   EXPECT_EQ(lines, persisted.results_json);
+}
+
+
+// ---- Report lines ------------------------------------------------------------
+
+/// A record carrying the fields the report tests read.
+JsonObject report_record() {
+  JsonObject record;
+  record.set("key", "k").set("n", std::uint64_t{1024}).set("d", 8)
+      .set("a", 6.0).set("b", 3.0);
+  return record;
+}
+
+double report_value(const std::string& text) {
+  const std::optional<double> value =
+      parse_report(text).front().evaluate(report_record());
+  EXPECT_TRUE(value.has_value()) << text;
+  return value.value_or(-1.0);
+}
+
+TEST(CampaignReport, OperatorsFollowPrecedenceAndAssociativity) {
+  EXPECT_EQ(report_value("a + b"), 9.0);
+  EXPECT_EQ(report_value("a - b"), 3.0);
+  EXPECT_EQ(report_value("a * b"), 18.0);
+  EXPECT_EQ(report_value("a / b"), 2.0);
+  EXPECT_EQ(report_value("-a"), -6.0);
+  EXPECT_EQ(report_value("- -a"), 6.0);
+  EXPECT_EQ(report_value("a + b * 2"), 12.0);
+  EXPECT_EQ(report_value("(a + b) * 2"), 18.0);
+  EXPECT_EQ(report_value("a - b - 1"), 2.0);
+  EXPECT_EQ(report_value("a / b / 2"), 1.0);
+  EXPECT_EQ(report_value("1.5e1 + .5"), 15.5);
+  EXPECT_EQ(report_value("(1 - a / 12) * n"), 512.0);
+}
+
+TEST(CampaignReport, FunctionsAreLog2LnAndTheFpPushConstant) {
+  EXPECT_EQ(report_value("log2(n)"), 10.0);
+  EXPECT_EQ(report_value("log2(log2(n))"), std::log2(10.0));
+  EXPECT_EQ(report_value("ln(n)"), std::log(1024.0));
+  EXPECT_EQ(report_value("cd(d)"), push_constant_cd(8));
+  EXPECT_EQ(report_value("cd(2 + 1)"), push_constant_cd(3));
+  // Outside push_constant_cd's domain (integral d >= 3) the value is NaN.
+  EXPECT_TRUE(std::isnan(report_value("cd(2)")));
+  EXPECT_TRUE(std::isnan(report_value("cd(a / 4)")));
+  EXPECT_EQ(parse_report("n / ln(n) / cd(d) + log2(n)").front().fields(),
+            (std::vector<std::string>{"n", "d"}));
+}
+
+TEST(CampaignReport, SyntaxErrorsAndUnknownFunctionsFailAtLoad) {
+  auto load = [](const std::string& report) {
+    std::istringstream in("trials = 2\nreport = " + report + "\n");
+    return parse_spec(in);
+  };
+  for (const std::string bad :
+       {"n +", "(n", "n)", "n n", "2x", "1e", "", "n,", ", n", "n * * d",
+        "n = 2", "log2 n", "cd()", "n, n"}) {
+    try {
+      (void)load(bad);
+      ADD_FAILURE() << "'" << bad << "' parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    (void)load("n / sqrt(n)");
+    FAIL() << "an unknown function parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown function 'sqrt'"),
+              std::string::npos)
+        << e.what();
+  }
+  // Nesting is capped, so no spec line can exhaust the parser's stack.
+  EXPECT_THROW((void)load(std::string(100000, '(') + "n"), std::runtime_error);
+  EXPECT_EQ(report_value(std::string(100000, '-') + "a"), 6.0);
+
+  const CampaignSpec spec = load(" n ,cd(d)/ 2 , log2(n)");
+  ASSERT_EQ(spec.report.size(), 3U);
+  EXPECT_EQ(spec.report[0].text(), "n");
+  EXPECT_EQ(spec.report[1].text(), "cd(d)/ 2");
+  EXPECT_EQ(spec.report[2].text(), "log2(n)");
+}
+
+TEST(CampaignReport, AFieldNoRecordCarriesFailsNamingIt) {
+  JsonObject with_tx = report_record();
+  with_tx.set("tx", 4.0);
+  const JsonObject without_tx = report_record();
+  const std::vector<const JsonObject*> records{&with_tx, &without_tx};
+
+  // Carried by some records: the others get no value, not an error.
+  const auto rows = evaluate_report(parse_report("tx / a, n"), records);
+  ASSERT_EQ(rows.size(), 2U);
+  EXPECT_EQ(rows[0][0].value_or(-1.0), 4.0 / 6.0);
+  EXPECT_FALSE(rows[1][0].has_value());
+  EXPECT_EQ(rows[1][1].value_or(-1.0), 1024.0);
+
+  // Carried by none (or only as a string): an error naming the field.
+  for (const std::string field : {"tx_per_nod_mean", "key"}) {
+    try {
+      (void)evaluate_report(parse_report("n, a * " + field), records);
+      FAIL() << field << " evaluated";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + field + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(evaluate_report(parse_report("nope"), {}).empty());
+}
+
+TEST(CampaignReport, NeverMovesDescribeTheFingerprintOrCells) {
+  std::istringstream plain_in("name = r\nn = 2^8\nd = 3, log2n\n");
+  std::istringstream report_in(
+      "name = r\nn = 2^8\nd = 3, log2n\n"
+      "report = completion_mean / ln(n) / cd(d), (1 - coverage_mean) * n\n");
+  const CampaignSpec plain = parse_spec(plain_in);
+  CampaignSpec with_report = parse_spec(report_in);
+  ASSERT_EQ(with_report.report.size(), 2U);
+  EXPECT_EQ(describe(with_report), describe(plain));
+  EXPECT_EQ(spec_fingerprint(with_report), spec_fingerprint(plain));
+  apply_setting(with_report, "report", "n, d");
+  EXPECT_EQ(spec_fingerprint(with_report), spec_fingerprint(plain));
+  const auto a = expand_cells(plain);
+  const auto b = expand_cells(with_report);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].key, b[i].key);
+    EXPECT_EQ(a[i].seed, b[i].seed);
+  }
+}
+
+TEST(CampaignReport, ValuesPrintInOneFormat) {
+  EXPECT_EQ(format_report_value(23.4), "23.4");
+  EXPECT_EQ(format_report_value(1.0), "1");
+  EXPECT_EQ(format_report_value(655360.0), "655360");
+  EXPECT_EQ(format_report_value(10000000.0), "10000000");
+  EXPECT_EQ(format_report_value(0.999987792968), "0.99998779");
+  EXPECT_EQ(format_report_value(2.0 / 3.0), "0.66666667");
+}
+
+TEST(CampaignReport, EveryCommittedSpecLoadsAndExpands) {
+  std::size_t specs = 0;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(RRB_CAMPAIGN_DIR)) {
+    if (entry.path().extension() != ".campaign") continue;
+    ++specs;
+    SCOPED_TRACE(entry.path().string());
+    CampaignSpec spec;
+    ASSERT_NO_THROW(spec = load_spec(entry.path().string()));
+    EXPECT_EQ(spec.name, entry.path().stem().string());
+    EXPECT_FALSE(expand_cells(spec).empty());
+  }
+  EXPECT_GE(specs, 16U);
+}
+
+// ---- Journal merge -----------------------------------------------------------
+
+TEST(CampaignJournalMerge, ValidatesEverySourceBeforeWriting) {
+  const CampaignSpec spec = tiny_spec();
+  const std::string fingerprint = [&] {
+    std::ostringstream os;
+    os << "0x" << std::hex << spec_fingerprint(spec);
+    return os.str();
+  }();
+  std::vector<std::string> shards;
+  for (int shard = 0; shard < 2; ++shard) {
+    CampaignConfig config;
+    config.shard_index = shard;
+    config.shard_count = 2;
+    config.out_dir = temp_dir("merge_s" + std::to_string(shard));
+    shards.push_back(CampaignRunner(spec, config).run().manifest_path);
+  }
+  CampaignSpec other = spec;
+  other.trials = 4;
+  CampaignConfig other_config;
+  other_config.out_dir = temp_dir("merge_other");
+  const std::string foreign =
+      CampaignRunner(other, other_config).run().manifest_path;
+
+  // A foreign source anywhere in the list: refused, target never created.
+  const std::string target = temp_dir("merge_target") + "/manifest.jsonl";
+  EXPECT_THROW((void)merge_journals({shards[0], foreign, shards[1]}, target,
+                                    spec.name, fingerprint, 4),
+               std::runtime_error);
+  EXPECT_FALSE(fs::exists(target));
+
+  // Overlapping sources merge each cell once; the run then reuses all.
+  EXPECT_EQ(merge_journals({shards[0], shards[1], shards[0]}, target,
+                           spec.name, fingerprint, 4, /*require_header=*/true),
+            4U);
+  EXPECT_EQ(load_journal(target, fingerprint).records.size(), 4U);
+  CampaignConfig config;
+  config.out_dir = fs::path(target).parent_path().string();
+  const CampaignOutcome outcome = CampaignRunner(spec, config).run();
+  EXPECT_EQ(outcome.computed, 0U);
+  EXPECT_EQ(outcome.reused, 4U);
+
+  // Headerless-only sources are refused when a header is required.
+  const std::string empty = temp_dir("merge_empty") + ".jsonl";
+  std::ofstream(empty).close();
+  EXPECT_THROW((void)merge_journals({empty}, temp_dir("merge_t2") + "/m.jsonl",
+                                    spec.name, fingerprint, 4, true),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -12,11 +12,16 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "rrb/common/runner_config.hpp"
 #include "rrb/core/broadcast.hpp"
@@ -68,6 +73,29 @@ TEST(Runner, ExplicitThreadsResolveVerbatim) {
   cfg.threads = 0;
   EXPECT_GE(ParallelRunner::resolve_threads(cfg), 1);
 }
+
+#ifdef __linux__
+TEST(Runner, AutomaticThreadsFollowCpuAffinity) {
+  // The automatic count must be the CPUs this thread may use, not every
+  // online core: under `taskset -c 3` a 4-thread pool oversubscribes.
+  if (const char* env = std::getenv("RRB_THREADS"); env && *env)
+    GTEST_SKIP() << "RRB_THREADS overrides the automatic thread count";
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &saved)) ++first;
+  ASSERT_LT(first, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int narrowed = resolve_threads(RunnerConfig{});
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(narrowed, 1);
+  EXPECT_EQ(resolve_threads(RunnerConfig{}), CPU_COUNT(&saved));
+}
+#endif
 
 TEST(Runner, RejectsNegativeConfig) {
   RunnerConfig bad;
