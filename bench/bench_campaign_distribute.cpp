@@ -1,8 +1,8 @@
 /// Campaign distribute micro-benchmark: wall-clock cells/sec for one
 /// moderate grid executed three ways — in-process `CampaignRunner`
 /// (the pre-`--distribute` baseline), and the process-level executor at
-/// K = 1 and K = hardware cores. The artifacts are byte-identical across
-/// all modes by construction (tests/test_distribute.cpp and the
+/// K = 1 and K = usable cores (the automatic thread count). The artifacts
+/// are byte-identical across all modes by construction (tests/test_distribute.cpp and the
 /// smoke.rrb_campaign.dist_* fixtures pin that; this harness re-checks
 /// results.jsonl as a sanity gate), so the numbers measure pure
 /// scheduling: claim-file overhead, fork/exec cost, journal merge, and —
@@ -19,9 +19,9 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "bench_util.hpp"
+#include "rrb/common/runner_config.hpp"
 #include "rrb/exp/campaign.hpp"
 #include "rrb/exp/distribute.hpp"
 
@@ -116,11 +116,12 @@ void add_row(BenchReport& report, const std::string& name, const ModeTiming& t,
 
 int main() {
   const exp::CampaignSpec spec = bench_spec();
-  const int cores = static_cast<int>(std::thread::hardware_concurrency());
-  const int k_wide = cores > 0 ? cores : 1;
+  // The automatic thread count: $RRB_THREADS, else the CPUs this process
+  // may run on (its affinity mask), so taskset or a cpuset caps K.
+  const int k_wide = resolve_threads(RunnerConfig{});
 
   std::printf("campaign distribute bench: %zu-cell grid, %d trials/cell, "
-              "%d hardware core(s)\n",
+              "%d usable core(s)\n",
               exp::expand_cells(spec).size(), spec.trials, k_wide);
 
   BenchReport report("campaign_distribute");

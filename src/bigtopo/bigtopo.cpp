@@ -6,6 +6,7 @@
 
 #include "rrb/common/check.hpp"
 #include "rrb/common/runner_config.hpp"
+#include "rrb/graph/detail/sort_row.hpp"
 #include "rrb/rng/rng.hpp"
 #include "rrb/telemetry/telemetry.hpp"
 
@@ -113,9 +114,8 @@ void sort_rows(NodeId n, std::span<const NodeId> order, int chunks,
   for_each_batch(order, chunks, [&](NodeId c) {
     const ChunkRange range = canonical_chunk_range(n, c);
     for (NodeId v = range.begin; v < range.end; ++v)
-      std::sort(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                adjacency.begin() +
-                    static_cast<std::ptrdiff_t>(offsets[v + 1]));
+      rrb::detail::sort_row(adjacency.data() + offsets[v],
+                            adjacency.data() + offsets[v + 1]);
   });
 }
 
@@ -204,13 +204,65 @@ std::uint64_t StubPermutation::forward(std::uint64_t x) const {
 
 std::uint64_t StubPermutation::inverse(std::uint64_t y) const {
   RRB_REQUIRE(y < domain_, "StubPermutation::inverse: out of domain");
-  return walk_inverse(y);
+  std::uint64_t x = decrypt_once(y);
+  while (x >= domain_) x = decrypt_once(x);  // cycle-walk back into range
+  return x;
 }
 
-std::uint64_t StubPermutation::walk_inverse(std::uint64_t y) const {
-  std::uint64_t x = decrypt_once(y);
-  while (x >= domain_) x = decrypt_once(x);
-  return x;
+void StubPermutation::decrypt_lanes(std::uint64_t* x,
+                                    std::size_t count) const {
+  for (std::size_t g = 0; g < count; g += kLanes) {
+    std::array<std::uint64_t, kLanes> left;
+    std::array<std::uint64_t, kLanes> right;
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      left[k] = x[g + k] >> half_bits_;
+      right[k] = x[g + k] & half_mask_;
+    }
+    for (int r = kRounds - 1; r >= 0; --r) {
+      const std::uint64_t key = keys_[static_cast<std::size_t>(r)];
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        const std::uint64_t prev_left =
+            right[k] ^ (mix64(left[k] + key) & half_mask_);
+        right[k] = left[k];
+        left[k] = prev_left;
+      }
+    }
+    for (std::size_t k = 0; k < kLanes; ++k)
+      x[g + k] = (left[k] << half_bits_) | right[k];
+  }
+}
+
+void StubPermutation::inverse_tile(std::uint64_t first, std::size_t count,
+                                   std::uint64_t* out) const {
+  const auto whole_groups = [](std::size_t lanes) {
+    return (lanes + kLanes - 1) / kLanes * kLanes;
+  };
+  for (std::size_t i = 0; i < kTile; ++i) out[i] = first + i;
+  decrypt_lanes(out, whole_groups(count));
+
+  // Lanes still outside [0, domain): their values and their tile slots,
+  // compacted without a branch after every pass.
+  std::array<std::uint64_t, kTile> walk;
+  std::array<std::uint8_t, kTile> slot;
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    walk[live] = out[i];
+    slot[live] = static_cast<std::uint8_t>(i);
+    live += out[i] >= domain_;
+  }
+  while (live > 0) {
+    const std::size_t lanes = whole_groups(live);
+    for (std::size_t k = live; k < lanes; ++k) walk[k] = 0;
+    decrypt_lanes(walk.data(), lanes);
+    std::size_t next = 0;
+    for (std::size_t k = 0; k < live; ++k) {
+      out[slot[k]] = walk[k];
+      walk[next] = walk[k];
+      slot[next] = slot[k];
+      next += walk[k] >= domain_;
+    }
+    live = next;
+  }
 }
 
 std::uint64_t estimate_configuration_model_bytes(NodeId n, NodeId d) {
@@ -244,7 +296,11 @@ Graph chunked_configuration_model(const ChunkedParams& params,
   // stubs a = inverse(y) and b = inverse(y ^ 1), written from both ends at
   // once, so every pair costs two inverse walks and no forward one. The
   // permutation is a bijection, so every slot is written exactly once with
-  // the bytes the per-slot rule gives.
+  // the bytes the per-slot rule gives. The inverses come one tile of
+  // positions at a time (StubPermutation::inverse_tile): eight Feistel
+  // chains advance in lockstep, and lanes that leave the domain walk again
+  // together, so no slot waits on one serial multiply chain or a
+  // mispredicted cycle-walk branch.
   const StubPermutation perm(
       derive_seed(params.seed, hash_string("bigtopo/pairing")), stubs);
 
@@ -259,15 +315,24 @@ Graph chunked_configuration_model(const ChunkedParams& params,
     // range. Both bounds are even (kChunkNodes is even, n·d is even), so
     // no pair straddles two chunks, and chunks write disjoint slots.
     telemetry::Span fill_span("bigtopo", "config-model/fill");
+    // A tile is even-sized and starts at an even position, so its pairs
+    // are whole; a chunk's last tile may be short.
     const std::uint64_t width = d;
     for_each_batch(chunk_order, params.chunks, [&](NodeId c) {
       const ChunkRange range = canonical_chunk_range(n, c);
       const std::uint64_t end = range.end * width;
-      for (std::uint64_t y = range.begin * width; y < end; y += 2) {
-        const std::uint64_t a = perm.walk_inverse(y);
-        const std::uint64_t b = perm.walk_inverse(y + 1);
-        adjacency[a] = static_cast<NodeId>(b / width);
-        adjacency[b] = static_cast<NodeId>(a / width);
+      std::array<std::uint64_t, StubPermutation::kTile> stub;
+      for (std::uint64_t y = range.begin * width; y < end;
+           y += StubPermutation::kTile) {
+        const auto count = static_cast<std::size_t>(
+            std::min<std::uint64_t>(StubPermutation::kTile, end - y));
+        perm.inverse_tile(y, count, stub.data());
+        for (std::size_t i = 0; i < count; i += 2) {
+          const std::uint64_t a = stub[i];
+          const std::uint64_t b = stub[i + 1];
+          adjacency[a] = static_cast<NodeId>(b / width);
+          adjacency[b] = static_cast<NodeId>(a / width);
+        }
       }
     });
     sample_rss(fill_span);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -60,7 +61,12 @@
 ///    position y writes both ends of the pair (inverse(y), inverse(y ^ 1)).
 ///    The range bounds are even, so no pair straddles two chunks, and the
 ///    permutation is a bijection, so chunks write disjoint slots and run
-///    concurrently.
+///    concurrently. Within a chunk the inverses come a tile of 64
+///    positions at a time, walked in lockstep: eight independent Feistel
+///    chains advance round by round, so one chain's multiplies hide the
+///    others' latency, and the lanes that cycle-walk out of the domain
+///    walk again together, with no per-slot branch. StubPermutation's
+///    scalar inverse() is the reference the tiles are tested against.
 ///  - chunked_random_out: each node draws d out-partners from its canonical
 ///    chunk's Rng(chunk_seed(seed, c)) stream; the undirected union has
 ///    irregular degrees, so the CSR is assembled by the classical two-pass
@@ -118,14 +124,25 @@ class StubPermutation {
   [[nodiscard]] std::uint64_t inverse(std::uint64_t y) const;
 
  private:
-  /// inverse() without the domain check, for the configuration model's
-  /// fill loop, whose positions are in range by construction.
-  [[nodiscard]] std::uint64_t walk_inverse(std::uint64_t y) const;
+  /// Permuted positions per fill tile, and Feistel chains per lockstep
+  /// group.
+  static constexpr std::size_t kTile = 64;
+  static constexpr std::size_t kLanes = 8;
+
+  /// out[i] = inverse(first + i) for i < count <= kTile, without the
+  /// domain check (the configuration model's fill positions are in range
+  /// by construction). out holds kTile entries. The walks run in lockstep:
+  /// kLanes chains at a time advance round by round, and the lanes that
+  /// leave the domain walk again together until none is left.
+  void inverse_tile(std::uint64_t first, std::size_t count,
+                    std::uint64_t* out) const;
   friend Graph chunked_configuration_model(
       const ChunkedParams& params, std::span<const NodeId> chunk_order);
 
   [[nodiscard]] std::uint64_t encrypt_once(std::uint64_t x) const;
   [[nodiscard]] std::uint64_t decrypt_once(std::uint64_t y) const;
+  /// decrypt_once on x[0, count) in place, count a multiple of kLanes.
+  void decrypt_lanes(std::uint64_t* x, std::size_t count) const;
 
   static constexpr int kRounds = 8;
   std::uint64_t domain_ = 0;

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "rrb/graph/detail/sort_row.hpp"
+
 namespace rrb {
 
 namespace {
@@ -45,9 +47,8 @@ namespace {
     put(pairs[s], pairs[s + 1]);
     put(pairs[s + 1], pairs[s]);
   }
-  for (std::size_t begin = 0; begin < rows.size(); begin += d)
-    std::sort(rows.begin() + static_cast<std::ptrdiff_t>(begin),
-              rows.begin() + static_cast<std::ptrdiff_t>(begin + d));
+  for (NodeId* row = rows.data(); row != rows.data() + rows.size(); row += d)
+    detail::sort_row(row, row + d);
   return rows;
 }
 

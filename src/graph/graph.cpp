@@ -13,33 +13,70 @@ struct CsrCounts {
   Count parallel_extra = 0;
 };
 
-/// One scan over sorted per-node lists deriving the multigraph summary:
-/// num_edges = entries/2; a run of k equal entries w at node v contributes
-/// k-1 parallel extras when w > v, and k/2 self-loops (k/2 - 1 extras)
-/// when w == v. Shared by from_edges and from_csr so both construction
-/// paths agree byte-for-byte on the derived counts.
-[[nodiscard]] CsrCounts scan_sorted_csr(const std::vector<Count>& offsets,
-                                        const std::vector<NodeId>& adjacency) {
+/// One row's kBasic verdict and multigraph tallies.
+struct RowScan {
+  bool clean = true;      ///< every entry < n and the row non-decreasing
+  NodeId repeats = 0;     ///< entries equal to their predecessor and > v
+  NodeId loop_stubs = 0;  ///< entries equal to v
+};
+
+/// Scan row v in one pass with no data-dependent branch: range and order
+/// fold into one flag, and the two tallies are sums of comparisons. A
+/// row's length fits NodeId (checked before the scan), so do the tallies.
+[[nodiscard]] RowScan scan_row(const NodeId* row, std::size_t len, NodeId v,
+                               NodeId n) {
+  if (len == 0) return {};
+  unsigned bad = row[0] >= n;
+  NodeId repeats = 0;
+  NodeId loop_stubs = row[0] == v;
+  for (std::size_t i = 1; i < len; ++i) {
+    const NodeId prev = row[i - 1];
+    const NodeId cur = row[i];
+    bad |= static_cast<unsigned>(cur >= n) | static_cast<unsigned>(cur < prev);
+    repeats += static_cast<NodeId>(cur == prev) & static_cast<NodeId>(cur > v);
+    loop_stubs += cur == v;
+  }
+  return {bad == 0, repeats, loop_stubs};
+}
+
+/// The exact kBasic entry checks, entry by entry, for a row scan_row
+/// rejected: the first failing entry names the error, range before order.
+void require_row_entries(const NodeId* row, std::size_t len, NodeId n) {
+  for (std::size_t i = 0; i < len; ++i) {
+    RRB_REQUIRE(row[i] < n, "from_csr: adjacency entry out of range");
+    RRB_REQUIRE(i == 0 || row[i - 1] <= row[i],
+                "from_csr: adjacency lists must be sorted per node");
+  }
+}
+
+/// The per-node half of CsrValidation::kBasic fused with the multigraph
+/// summary, one pass per row. Per node: offsets non-decreasing (and inside
+/// the adjacency array), degree within NodeId range, entries in range and
+/// sorted. Counts: num_edges = entries/2; in a sorted row a run of k equal
+/// entries w contributes k-1 parallel extras when w > v (its repeats), and
+/// the k entries equal to v make k/2 self-loops (k/2 - 1 extras). Shared
+/// by from_edges and from_csr so both construction paths agree
+/// byte-for-byte on the derived counts.
+[[nodiscard]] CsrCounts scan_csr(const std::vector<Count>& offsets,
+                                 const std::vector<NodeId>& adjacency) {
   CsrCounts counts;
   counts.edges = adjacency.size() / 2;
   const auto n = static_cast<NodeId>(offsets.size() - 1);
   for (NodeId v = 0; v < n; ++v) {
-    const std::size_t begin = offsets[v];
-    const std::size_t end = offsets[v + 1];
-    std::size_t i = begin;
-    while (i < end) {
-      std::size_t j = i;
-      while (j < end && adjacency[j] == adjacency[i]) ++j;
-      const NodeId w = adjacency[i];
-      const std::size_t run = j - i;
-      if (w > v) {
-        counts.parallel_extra += run - 1;
-      } else if (w == v) {
-        counts.self_loops += run / 2;
-        counts.parallel_extra += run / 2 - (run >= 2 ? 1 : 0);
-      }
-      i = j;
-    }
+    RRB_REQUIRE(offsets[v] <= offsets[v + 1] &&
+                    offsets[v + 1] <= adjacency.size(),
+                "from_csr: offsets must be non-decreasing");
+    RRB_REQUIRE(offsets[v + 1] - offsets[v] <=
+                    std::numeric_limits<NodeId>::max(),
+                "from_csr: node degree exceeds NodeId range");
+    const NodeId* row = adjacency.data() + offsets[v];
+    const std::size_t len = offsets[v + 1] - offsets[v];
+    const RowScan scan = scan_row(row, len, v, n);
+    if (!scan.clean) require_row_entries(row, len, n);
+    const NodeId loops = scan.loop_stubs / 2;
+    counts.self_loops += loops;
+    counts.parallel_extra +=
+        scan.repeats + loops - (scan.loop_stubs >= 2 ? 1 : 0);
   }
   return counts;
 }
@@ -81,7 +118,7 @@ Graph Graph::from_edges(NodeId n, std::span<const Edge> edges) {
     std::sort(first, last);
   }
 
-  const CsrCounts counts = scan_sorted_csr(g.offsets_, g.adjacency_);
+  const CsrCounts counts = scan_csr(g.offsets_, g.adjacency_);
   g.num_edges_ = counts.edges;
   g.num_self_loops_ = counts.self_loops;
   g.num_parallel_ = counts.parallel_extra;
@@ -97,22 +134,9 @@ Graph Graph::from_csr(std::vector<Count> offsets,
               "from_csr: offsets[n] must equal adjacency size");
   RRB_REQUIRE(adjacency.size() % 2 == 0,
               "from_csr: total stub count must be even");
-  const auto n = static_cast<NodeId>(offsets.size() - 1);
-  for (NodeId v = 0; v < n; ++v) {
-    RRB_REQUIRE(offsets[v] <= offsets[v + 1],
-                "from_csr: offsets must be non-decreasing");
-    RRB_REQUIRE(offsets[v + 1] - offsets[v] <=
-                    std::numeric_limits<NodeId>::max(),
-                "from_csr: node degree exceeds NodeId range");
-    const std::size_t begin = offsets[v];
-    const std::size_t end = offsets[v + 1];
-    for (std::size_t i = begin; i < end; ++i) {
-      RRB_REQUIRE(adjacency[i] < n, "from_csr: adjacency entry out of range");
-      RRB_REQUIRE(i == begin || adjacency[i - 1] <= adjacency[i],
-                  "from_csr: adjacency lists must be sorted per node");
-    }
-  }
+  const CsrCounts counts = scan_csr(offsets, adjacency);
 
+  const auto n = static_cast<NodeId>(offsets.size() - 1);
   if (validation == CsrValidation::kFull) {
     // Undirected symmetry: every (v,w) run must be mirrored with equal
     // multiplicity at w, and self-loop entries must pair up.
@@ -142,7 +166,6 @@ Graph Graph::from_csr(std::vector<Count> offsets,
   Graph g;
   g.offsets_ = std::move(offsets);
   g.adjacency_ = std::move(adjacency);
-  const CsrCounts counts = scan_sorted_csr(g.offsets_, g.adjacency_);
   g.num_edges_ = counts.edges;
   g.num_self_loops_ = counts.self_loops;
   g.num_parallel_ = counts.parallel_extra;

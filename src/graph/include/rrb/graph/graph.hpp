@@ -32,9 +32,12 @@ struct Edge {
 };
 
 /// How much of the CSR contract Graph::from_csr verifies.
-///  - kBasic: O(entries) — offsets well-formed (0-anchored, monotone,
-///    matching adjacency size, even total), every entry in range, every
-///    per-node list sorted, every degree within NodeId range.
+///  - kBasic: O(entries) in one pass over each row, the same pass that
+///    derives the edge, self-loop and parallel-edge counts — offsets
+///    well-formed (0-anchored, monotone, matching adjacency size, even
+///    total), every entry in range, every per-node list sorted, every
+///    degree within NodeId range. A rejected row is re-checked entry by
+///    entry, so the error names its first failing entry.
 ///  - kFull: kBasic plus undirected symmetry (every (v,w) run is mirrored
 ///    by an equal-multiplicity (w,v) run and self-loop runs are even) —
 ///    O(entries · log d); meant for tests, not the large-n hot path.
@@ -54,7 +57,7 @@ class Graph {
   /// (parallel edges once per multiplicity; a self-loop twice at its node).
   /// This is the compact path used by rrb::bigtopo — peak memory is the
   /// CSR itself. Validation per CsrValidation; edge/loop/parallel counts
-  /// are derived in one scan of the sorted lists.
+  /// come from kBasic's one pass over the sorted lists.
   [[nodiscard]] static Graph from_csr(
       std::vector<Count> offsets, std::vector<NodeId> adjacency,
       CsrValidation validation = CsrValidation::kBasic);

@@ -187,43 +187,57 @@ TEST(BigtopoConfigModel, MatchesEdgeListPairingReference) {
 // the definition is per slot: adjacency[s] = inverse(forward(s) ^ 1) / d.
 // Odd d and a partial last chunk put pairs next to every chunk boundary,
 // and every batching and a reversed order must land each row on the
-// definition's sorted multiset.
+// definition's sorted multiset. The fill computes inverses a tile of 64
+// positions at a time, in lockstep: interior chunk ends are tile multiples
+// (kChunkNodes is), but n·d = 100638 is not, so the last chunk ends
+// mid-tile, and its Feistel domain of 2^18 makes most lanes cycle-walk.
+// The tiny shapes put the whole graph in one short tile.
 TEST(BigtopoConfigModel, MatchesPerSlotDefinitionAcrossChunks) {
-  ChunkedParams params{.n = 2 * kChunkNodes + 778, .d = 3, .seed = 0xb18};
-  const std::uint64_t stubs =
-      static_cast<std::uint64_t>(params.n) * params.d;
-  const StubPermutation perm(
-      derive_seed(params.seed, hash_string("bigtopo/pairing")), stubs);
-  std::vector<NodeId> expected(stubs);
-  for (std::uint64_t s = 0; s < stubs; ++s)
-    expected[s] =
-        static_cast<NodeId>(perm.inverse(perm.forward(s) ^ 1) / params.d);
-  for (NodeId v = 0; v < params.n; ++v) {
-    const auto row = expected.begin() +
-                     static_cast<std::ptrdiff_t>(std::uint64_t{v} * params.d);
-    std::sort(row, row + params.d);
-  }
-
-  const auto check = [&](const Graph& g, const std::string& label) {
-    ASSERT_EQ(g.num_nodes(), params.n) << label;
-    for (NodeId v = 0; v < params.n; ++v) {
-      const auto row = g.neighbors(v);
-      const auto want = expected.begin() +
-                        static_cast<std::ptrdiff_t>(std::uint64_t{v} * params.d);
-      ASSERT_TRUE(std::equal(row.begin(), row.end(), want, want + params.d))
-          << label << ": row " << v;
-    }
+  struct Shape {
+    NodeId n;
+    NodeId d;
   };
-  for (const int chunks : {0, 1, 17}) {
-    params.chunks = chunks;
-    check(chunked_configuration_model(params),
-          "chunks=" + std::to_string(chunks));
+  for (const Shape shape : {Shape{2 * kChunkNodes + 778, 3}, Shape{2, 1},
+                            Shape{10, 3}, Shape{38, 7}}) {
+    ChunkedParams params{.n = shape.n, .d = shape.d, .seed = 0xb18};
+    const std::uint64_t stubs =
+        static_cast<std::uint64_t>(params.n) * params.d;
+    ASSERT_NE(stubs % 64, 0U);
+    const StubPermutation perm(
+        derive_seed(params.seed, hash_string("bigtopo/pairing")), stubs);
+    std::vector<NodeId> expected(stubs);
+    for (std::uint64_t s = 0; s < stubs; ++s)
+      expected[s] =
+          static_cast<NodeId>(perm.inverse(perm.forward(s) ^ 1) / params.d);
+    for (NodeId v = 0; v < params.n; ++v) {
+      const auto row = expected.begin() + static_cast<std::ptrdiff_t>(
+                                              std::uint64_t{v} * params.d);
+      std::sort(row, row + params.d);
+    }
+
+    const std::string shape_label = "n=" + std::to_string(shape.n) +
+                                    " d=" + std::to_string(shape.d) + " ";
+    const auto check = [&](const Graph& g, const std::string& label) {
+      ASSERT_EQ(g.num_nodes(), params.n) << shape_label << label;
+      for (NodeId v = 0; v < params.n; ++v) {
+        const auto row = g.neighbors(v);
+        const auto want = expected.begin() + static_cast<std::ptrdiff_t>(
+                                                 std::uint64_t{v} * params.d);
+        ASSERT_TRUE(std::equal(row.begin(), row.end(), want, want + params.d))
+            << shape_label << label << ": row " << v;
+      }
+    };
+    for (const int chunks : {0, 1, 17}) {
+      params.chunks = chunks;
+      check(chunked_configuration_model(params),
+            "chunks=" + std::to_string(chunks));
+    }
+    params.chunks = 0;
+    std::vector<NodeId> order(num_canonical_chunks(params.n));
+    std::iota(order.begin(), order.end(), NodeId{0});
+    std::reverse(order.begin(), order.end());
+    check(chunked_configuration_model(params, order), "reversed order");
   }
-  params.chunks = 0;
-  std::vector<NodeId> order(num_canonical_chunks(params.n));
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::reverse(order.begin(), order.end());
-  check(chunked_configuration_model(params, order), "reversed order");
 }
 
 // Golden digest: the full CSR of a fixed (n, d, seed) is pinned. Any change

@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "rrb/graph/detail/sort_row.hpp"
+#include "rrb/graph/generators.hpp"
+#include "rrb/rng/rng.hpp"
 
 namespace rrb {
 namespace {
@@ -247,6 +255,161 @@ TEST(GraphFromCsr, FullValidationCatchesAsymmetry) {
   // A consistent multigraph passes kFull: loop at 0 plus double edge 0-1.
   EXPECT_NO_THROW((void)Graph::from_csr({0, 4, 6}, {0, 0, 1, 1, 0, 0},
                                         CsrValidation::kFull));
+}
+
+// from_csr's one pass: counts and exact rejections
+// ---------------------------------------------------------------------------
+
+struct NaiveCounts {
+  Count edges = 0;
+  Count self_loops = 0;
+  Count parallel_extra = 0;
+};
+
+/// Recount a CSR's multigraph summary from its edge multiset: every entry
+/// w > v is one (v, w) edge, every two entries v at v one loop, and each
+/// pair's (or node's loop) multiplicity m adds m - 1 extras.
+NaiveCounts naive_counts(const std::vector<Count>& offsets,
+                         const std::vector<NodeId>& adjacency) {
+  std::map<std::pair<NodeId, NodeId>, Count> multiplicity;
+  NaiveCounts counts;
+  for (NodeId v = 0; v + 1 < offsets.size(); ++v) {
+    Count loop_entries = 0;
+    for (Count i = offsets[v]; i < offsets[v + 1]; ++i) {
+      if (adjacency[i] > v) ++multiplicity[{v, adjacency[i]}];
+      if (adjacency[i] == v) ++loop_entries;
+    }
+    if (loop_entries > 0) multiplicity[{v, v}] = loop_entries / 2;
+    counts.self_loops += loop_entries / 2;
+  }
+  for (const auto& [pair, m] : multiplicity) {
+    counts.edges += m;
+    if (m > 0) counts.parallel_extra += m - 1;
+  }
+  return counts;
+}
+
+void expect_counts_match_naive(const std::vector<Count>& offsets,
+                               const std::vector<NodeId>& adjacency,
+                               const std::string& label) {
+  const NaiveCounts want = naive_counts(offsets, adjacency);
+  const Graph g = Graph::from_csr(offsets, adjacency);
+  EXPECT_EQ(g.num_edges(), want.edges) << label;
+  EXPECT_EQ(g.num_self_loops(), want.self_loops) << label;
+  EXPECT_EQ(g.num_parallel_extra(), want.parallel_extra) << label;
+}
+
+TEST(GraphFromCsr, CountsMatchNaiveRecountOnConfigurationModels) {
+  // Small n and d make loops and parallel edges common.
+  Count loops_seen = 0;
+  Count parallels_seen = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(seed);
+    const auto n = static_cast<NodeId>(4 + seed % 13);
+    auto d = static_cast<NodeId>(1 + seed % 5);
+    if (n * d % 2 == 1) ++d;
+    const Graph model = configuration_model(n, d, rng);
+    std::vector<Count> offsets{0};
+    std::vector<NodeId> adjacency;
+    for (NodeId v = 0; v < model.num_nodes(); ++v) {
+      for (const NodeId w : model.neighbors(v)) adjacency.push_back(w);
+      offsets.push_back(adjacency.size());
+    }
+    expect_counts_match_naive(offsets, adjacency,
+                              "seed " + std::to_string(seed));
+    loops_seen += model.num_self_loops();
+    parallels_seen += model.num_parallel_extra();
+  }
+  EXPECT_GT(loops_seen, 0U);
+  EXPECT_GT(parallels_seen, 0U);
+}
+
+TEST(GraphFromCsr, CountsLoopRunsOfLengthTwoAndFour) {
+  // Node 0: two loops (a run of 4) and a double edge to 1; node 1: one
+  // loop (a run of 2) and the double edge back; node 2: one loop and a
+  // triple edge to 3.
+  const std::vector<Count> offsets{0, 6, 10, 15, 18};
+  const std::vector<NodeId> adjacency{0, 0, 0, 0, 1, 1,  // node 0
+                                      0, 0, 1, 1,        // node 1
+                                      2, 2, 3, 3, 3,     // node 2
+                                      2, 2, 2};          // node 3
+  expect_counts_match_naive(offsets, adjacency, "hand-built");
+  const Graph g = Graph::from_csr(offsets, adjacency);
+  EXPECT_EQ(g.num_edges(), 9U);
+  EXPECT_EQ(g.num_self_loops(), 4U);
+  EXPECT_EQ(g.num_parallel_extra(), 4U);  // 1 + 1 + 0 + 2
+}
+
+/// from_csr must throw std::logic_error whose message ends in `message`.
+void expect_csr_error(std::vector<Count> offsets,
+                      std::vector<NodeId> adjacency,
+                      const std::string& message) {
+  try {
+    (void)Graph::from_csr(std::move(offsets), std::move(adjacency));
+    ADD_FAILURE() << "accepted; expected: " << message;
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    const std::string suffix = " — " + message;
+    EXPECT_TRUE(what.size() >= suffix.size() &&
+                what.compare(what.size() - suffix.size(), suffix.size(),
+                             suffix) == 0)
+        << what << "\n  expected message: " << message;
+  }
+}
+
+TEST(GraphFromCsr, EachBasicRejectionNamesItsError) {
+  expect_csr_error({}, {}, "from_csr: offsets must have size n+1");
+  expect_csr_error({1, 2}, {0, 0}, "from_csr: offsets[0] must be 0");
+  expect_csr_error({0, 2, 5}, {1, 1, 0, 0},
+                   "from_csr: offsets[n] must equal adjacency size");
+  expect_csr_error({0, 1, 2, 3}, {1, 0, 0},
+                   "from_csr: total stub count must be even");
+  expect_csr_error({0, 2, 1, 4}, {1, 2, 0, 0},
+                   "from_csr: offsets must be non-decreasing");
+  // An offset past the adjacency array that later comes back down: the
+  // row is never read.
+  expect_csr_error({0, 8, 2, 4}, {1, 1, 0, 0},
+                   "from_csr: offsets must be non-decreasing");
+  expect_csr_error({0, 1, 2}, {1, 2}, "from_csr: adjacency entry out of range");
+  expect_csr_error({0, 2, 3, 4}, {2, 1, 0, 0},
+                   "from_csr: adjacency lists must be sorted per node");
+  // Both faults in one row: the first failing entry names the error.
+  expect_csr_error({0, 3, 4}, {5, 0, 1, 0},
+                   "from_csr: adjacency entry out of range");
+  expect_csr_error({0, 3, 4}, {1, 0, 5, 0},
+                   "from_csr: adjacency lists must be sorted per node");
+  // A bad row after a good one, and a bad row's error before a later
+  // node's bad offsets.
+  expect_csr_error({0, 2, 4}, {1, 1, 1, 0},
+                   "from_csr: adjacency lists must be sorted per node");
+  expect_csr_error({0, 2, 6, 4}, {1, 0, 0, 0},
+                   "from_csr: adjacency lists must be sorted per node");
+}
+
+// The generators' and bigtopo's short-row sort must give std::sort's bytes
+// at every length, on both sides of its insertion-sort cutoff, with heavy
+// duplicates and with sorted and reversed input.
+TEST(GraphSortRow, MatchesStdSortAtEveryLength) {
+  Rng rng(0x5027);
+  std::vector<std::size_t> lengths(65);
+  for (std::size_t len = 0; len <= 64; ++len) lengths[len] = len;
+  lengths.push_back(100);
+  lengths.push_back(300);
+  for (const std::size_t len : lengths) {
+    for (const std::uint64_t values : {2ULL, 5ULL, 1ULL << 32}) {
+      for (int shape = 0; shape < 3; ++shape) {
+        std::vector<NodeId> row(len);
+        for (NodeId& x : row) x = static_cast<NodeId>(rng.uniform_u64(values));
+        if (shape == 1) std::sort(row.begin(), row.end());
+        if (shape == 2) std::sort(row.rbegin(), row.rend());
+        std::vector<NodeId> want = row;
+        std::sort(want.begin(), want.end());
+        detail::sort_row(row.data(), row.data() + row.size());
+        ASSERT_EQ(row, want) << "length " << len << ", values < " << values
+                             << ", shape " << shape;
+      }
+    }
+  }
 }
 
 TEST(Graph, HandshakeLemmaWithLoopsAndParallels) {
