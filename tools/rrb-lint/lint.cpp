@@ -212,8 +212,14 @@ Scrubbed scrub(std::string_view content) {
 // ---------------------------------------------------------------------------
 
 /// The rrb module a path belongs to ("core" for src/core/...), or "" when
-/// the file is not inside a src/<module>/ directory.
+/// the file is not inside a src/<module>/ directory. The distribution
+/// tests' reference simulator (tests/reference/) is the one module outside
+/// src/: "reference".
 std::string module_of(std::string_view path) {
+  constexpr std::string_view kReference = "tests/reference/";
+  if (const std::size_t hit = path.find(kReference);
+      hit != std::string_view::npos && (hit == 0 || path[hit - 1] == '/'))
+    return "reference";
   std::size_t pos = 0;
   while (true) {
     const std::size_t hit = path.find("src/", pos);
@@ -231,10 +237,12 @@ std::string module_of(std::string_view path) {
 /// Modules whose draws and iteration order feed recorded artifacts: the
 /// engine stack, its protocols and RNG, the trial/campaign runners, and the
 /// observer pipeline. graph/analysis/p2p are reachable only through these.
+/// The reference simulator is one too: its draws feed the distribution
+/// tests' fixed-seed verdicts.
 bool record_path_module(const std::string& module) {
   static const std::set<std::string> kModules = {
-      "core", "phonecall", "protocols", "rng",     "sim",
-      "metrics", "exp",    "bigtopo"};
+      "core",    "phonecall", "protocols", "rng",      "sim",
+      "metrics", "exp",       "bigtopo",   "reference"};
   return kModules.count(module) != 0;
 }
 
@@ -261,6 +269,9 @@ const std::map<std::string, std::vector<std::string>>& module_deps() {
       {"exp",
        {"bigtopo", "common", "core", "graph", "metrics", "p2p", "phonecall",
         "protocols", "rng", "sim", "telemetry"}},
+      // tests/reference/CMakeLists.txt: the engine's independent check may
+      // see only the graph and the random source.
+      {"reference", {"common", "graph", "rng"}},
   };
   return kDeps;
 }
