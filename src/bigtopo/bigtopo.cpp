@@ -167,15 +167,36 @@ StubPermutation::StubPermutation(std::uint64_t seed, std::uint64_t domain)
   for (int r = 0; r < kRounds; ++r)
     keys_[static_cast<std::size_t>(r)] =
         derive_seed(base, static_cast<std::uint64_t>(r));
+
+  // A round reads only the half_bits_ low bits of its input and keeps only
+  // half_bits_ bits of mix64, so up to 16-bit halves each round is an exact
+  // table of at most 2^16 entries.
+  if (half_bits_ <= kTableHalfBits) {
+    const std::uint64_t width = std::uint64_t{1} << half_bits_;
+    tables_.resize(kRounds * width);
+    for (int r = 0; r < kRounds; ++r)
+      for (std::uint64_t x = 0; x < width; ++x)
+        tables_[r * width + x] =
+            static_cast<std::uint16_t>(round_function(r, x));
+  }
+}
+
+std::span<const std::uint16_t> StubPermutation::round_table(int r) const {
+  RRB_REQUIRE(r >= 0 && r < kRounds, "StubPermutation: no such round");
+  if (tables_.empty()) return {};
+  const std::size_t width = std::size_t{1} << half_bits_;
+  return {tables_.data() + static_cast<std::size_t>(r) * width, width};
+}
+
+std::uint64_t StubPermutation::round_function(int r, std::uint64_t x) const {
+  return mix64(x + keys_[static_cast<std::size_t>(r)]) & half_mask_;
 }
 
 std::uint64_t StubPermutation::encrypt_once(std::uint64_t x) const {
   std::uint64_t left = x >> half_bits_;
   std::uint64_t right = x & half_mask_;
   for (int r = 0; r < kRounds; ++r) {
-    const std::uint64_t f =
-        mix64(right + keys_[static_cast<std::size_t>(r)]) & half_mask_;
-    const std::uint64_t next_right = left ^ f;
+    const std::uint64_t next_right = left ^ round_function(r, right);
     left = right;
     right = next_right;
   }
@@ -186,9 +207,7 @@ std::uint64_t StubPermutation::decrypt_once(std::uint64_t y) const {
   std::uint64_t left = y >> half_bits_;
   std::uint64_t right = y & half_mask_;
   for (int r = kRounds - 1; r >= 0; --r) {
-    const std::uint64_t f =
-        mix64(left + keys_[static_cast<std::size_t>(r)]) & half_mask_;
-    const std::uint64_t prev_left = right ^ f;
+    const std::uint64_t prev_left = right ^ round_function(r, left);
     right = left;
     left = prev_left;
   }
@@ -211,24 +230,34 @@ std::uint64_t StubPermutation::inverse(std::uint64_t y) const {
 
 void StubPermutation::decrypt_lanes(std::uint64_t* x,
                                     std::size_t count) const {
-  for (std::size_t g = 0; g < count; g += kLanes) {
-    std::array<std::uint64_t, kLanes> left;
-    std::array<std::uint64_t, kLanes> right;
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      left[k] = x[g + k] >> half_bits_;
-      right[k] = x[g + k] & half_mask_;
-    }
-    for (int r = kRounds - 1; r >= 0; --r) {
-      const std::uint64_t key = keys_[static_cast<std::size_t>(r)];
+  // kLanes chains per group advance round by round; f(r, left) is round
+  // r's function, a table lookup up to 16-bit halves, else mix64.
+  const auto walk = [&](const auto& f) {
+    for (std::size_t g = 0; g < count; g += kLanes) {
+      std::array<std::uint64_t, kLanes> left;
+      std::array<std::uint64_t, kLanes> right;
       for (std::size_t k = 0; k < kLanes; ++k) {
-        const std::uint64_t prev_left =
-            right[k] ^ (mix64(left[k] + key) & half_mask_);
-        right[k] = left[k];
-        left[k] = prev_left;
+        left[k] = x[g + k] >> half_bits_;
+        right[k] = x[g + k] & half_mask_;
       }
+      for (int r = kRounds - 1; r >= 0; --r)
+        for (std::size_t k = 0; k < kLanes; ++k) {
+          const std::uint64_t prev_left = right[k] ^ f(r, left[k]);
+          right[k] = left[k];
+          left[k] = prev_left;
+        }
+      for (std::size_t k = 0; k < kLanes; ++k)
+        x[g + k] = (left[k] << half_bits_) | right[k];
     }
-    for (std::size_t k = 0; k < kLanes; ++k)
-      x[g + k] = (left[k] << half_bits_) | right[k];
+  };
+  if (tables_.empty()) {
+    walk([this](int r, std::uint64_t v) { return round_function(r, v); });
+  } else {
+    const std::uint16_t* tables = tables_.data();
+    const int shift = half_bits_;
+    walk([tables, shift](int r, std::uint64_t v) -> std::uint64_t {
+      return tables[(static_cast<std::uint64_t>(r) << shift) + v];
+    });
   }
 }
 
@@ -299,22 +328,29 @@ Graph chunked_configuration_model(const ChunkedParams& params,
   // the bytes the per-slot rule gives. The inverses come one tile of
   // positions at a time (StubPermutation::inverse_tile): eight Feistel
   // chains advance in lockstep, and lanes that leave the domain walk again
-  // together, so no slot waits on one serial multiply chain or a
-  // mispredicted cycle-walk branch.
-  const StubPermutation perm(
-      derive_seed(params.seed, hash_string("bigtopo/pairing")), stubs);
-
-  std::vector<Count> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId v = 0; v < n; ++v)
-    offsets[static_cast<std::size_t>(v) + 1] =
-        offsets[v] + static_cast<Count>(d);
-  std::vector<NodeId> adjacency(stubs);
+  // together, so no slot waits on one serial chain or a mispredicted
+  // cycle-walk branch. Up to 2^32 stubs each round is a table lookup.
+  std::vector<Count> offsets;
+  std::vector<NodeId> adjacency;
+  {
+    // The adjacency array's zero-fill is one serial pass (Graph owns a
+    // std::vector); this span keeps it out of the fill's time.
+    telemetry::Span alloc_span("bigtopo", "config-model/alloc");
+    offsets.resize(static_cast<std::size_t>(n) + 1);
+    for (NodeId v = 0; v < n; ++v)
+      offsets[static_cast<std::size_t>(v) + 1] =
+          offsets[v] + static_cast<Count>(d);
+    adjacency.resize(stubs);
+    sample_rss(alloc_span);
+  }
 
   {
     // Canonical chunk c owns the positions [begin·d, end·d) of its node
     // range. Both bounds are even (kChunkNodes is even, n·d is even), so
     // no pair straddles two chunks, and chunks write disjoint slots.
     telemetry::Span fill_span("bigtopo", "config-model/fill");
+    const StubPermutation perm(
+        derive_seed(params.seed, hash_string("bigtopo/pairing")), stubs);
     // A tile is even-sized and starts at an even position, so its pairs
     // are whole; a chunk's last tile may be short.
     const std::uint64_t width = d;
@@ -344,7 +380,11 @@ Graph chunked_configuration_model(const ChunkedParams& params,
     sample_rss(sort_span);
   }
 
-  Graph graph = Graph::from_csr(std::move(offsets), std::move(adjacency));
+  Graph graph;
+  {
+    telemetry::Span csr_span("bigtopo", "config-model/csr");
+    graph = Graph::from_csr(std::move(offsets), std::move(adjacency));
+  }
   sample_rss(total_span);
   return graph;
 }

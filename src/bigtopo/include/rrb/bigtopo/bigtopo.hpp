@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "rrb/common/types.hpp"
 #include "rrb/graph/graph.hpp"
@@ -63,10 +64,14 @@
 ///    permutation is a bijection, so chunks write disjoint slots and run
 ///    concurrently. Within a chunk the inverses come a tile of 64
 ///    positions at a time, walked in lockstep: eight independent Feistel
-///    chains advance round by round, so one chain's multiplies hide the
-///    others' latency, and the lanes that cycle-walk out of the domain
-///    walk again together, with no per-slot branch. StubPermutation's
-///    scalar inverse() is the reference the tiles are tested against.
+///    chains advance round by round, so one chain's latency hides behind
+///    the others', and the lanes that cycle-walk out of the domain walk
+///    again together, with no per-slot branch. Up to 2^32 stubs a Feistel
+///    half is at most 16 bits wide, so each round's function is an exact
+///    table (8 · 2^16 uint16_t at most) and a round is one lookup in
+///    place of the mix64 multiply chain. StubPermutation's scalar
+///    inverse() keeps mix64: it is the definition the tiles are tested
+///    against.
 ///  - chunked_random_out: each node draws d out-partners from its canonical
 ///    chunk's Rng(chunk_seed(seed, c)) stream; the undirected union has
 ///    irregular degrees, so the CSR is assembled by the classical two-pass
@@ -102,8 +107,6 @@ struct ChunkRange {
 };
 [[nodiscard]] ChunkRange canonical_chunk_range(NodeId n, NodeId chunk_id);
 
-struct ChunkedParams;
-
 /// Seed-keyed pseudorandom permutation of [0, domain): a balanced Feistel
 /// network over the enclosing power-of-two domain with cycle-walking back
 /// into [0, domain). Stateless and O(1) per evaluation in both directions —
@@ -123,32 +126,44 @@ class StubPermutation {
   /// The preimage of y (y < domain()): inverse(forward(x)) == x.
   [[nodiscard]] std::uint64_t inverse(std::uint64_t y) const;
 
- private:
-  /// Permuted positions per fill tile, and Feistel chains per lockstep
-  /// group.
+  /// Feistel rounds, and the widest half a round table is built for.
+  static constexpr int kRounds = 8;
+  static constexpr int kTableHalfBits = 16;
+
+  /// Permuted positions per fill tile.
   static constexpr std::size_t kTile = 64;
-  static constexpr std::size_t kLanes = 8;
 
   /// out[i] = inverse(first + i) for i < count <= kTile, without the
   /// domain check (the configuration model's fill positions are in range
   /// by construction). out holds kTile entries. The walks run in lockstep:
   /// kLanes chains at a time advance round by round, and the lanes that
-  /// leave the domain walk again together until none is left.
+  /// leave the domain walk again together until none is left. The fill's
+  /// path; inverse() is the definition it is tested against.
   void inverse_tile(std::uint64_t first, std::size_t count,
                     std::uint64_t* out) const;
-  friend Graph chunked_configuration_model(
-      const ChunkedParams& params, std::span<const NodeId> chunk_order);
 
+  /// Round r's table: entry x is round r's function at x, that is
+  /// mix64(x + key_r) masked to a half. Built when a half is at most
+  /// kTableHalfBits wide (domains up to 2^32), so the tiles look a round up
+  /// instead of computing it; empty for wider halves.
+  [[nodiscard]] std::span<const std::uint16_t> round_table(int r) const;
+
+ private:
+  /// Feistel chains per lockstep group.
+  static constexpr std::size_t kLanes = 8;
+
+  [[nodiscard]] std::uint64_t round_function(int r, std::uint64_t x) const;
   [[nodiscard]] std::uint64_t encrypt_once(std::uint64_t x) const;
   [[nodiscard]] std::uint64_t decrypt_once(std::uint64_t y) const;
   /// decrypt_once on x[0, count) in place, count a multiple of kLanes.
   void decrypt_lanes(std::uint64_t* x, std::size_t count) const;
 
-  static constexpr int kRounds = 8;
   std::uint64_t domain_ = 0;
   int half_bits_ = 0;            ///< width of each Feistel half
   std::uint64_t half_mask_ = 0;  ///< (1 << half_bits_) - 1
   std::array<std::uint64_t, kRounds> keys_{};
+  /// Round r's table at [r << half_bits_, (r + 1) << half_bits_).
+  std::vector<std::uint16_t> tables_;
 };
 
 /// Parameters of a chunked generation run. `n`, `d` and `seed` are the

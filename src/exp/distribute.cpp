@@ -38,7 +38,9 @@ namespace {
 }
 
 [[nodiscard]] std::string owner_name(int worker_id) {
-  return "w" + std::to_string(worker_id);
+  // append, not "w" + string: GCC 12's -Wrestrict misfires on the latter.
+  std::string name(1, 'w');
+  return name.append(std::to_string(worker_id));
 }
 
 /// Truncate-rewrite a worker heartbeat: "<own journal cells> <monotonic µs>".

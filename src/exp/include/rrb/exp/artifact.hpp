@@ -42,7 +42,10 @@ class JsonObject {
   };
 
   JsonObject& set(const std::string& key, const std::string& value) {
-    fields_.push_back({key, "\"" + json_escape(value) + "\"", value});
+    // Built with append: GCC 12's -Wrestrict misfires on "\"" + string.
+    std::string json(1, '"');
+    json.append(json_escape(value)).push_back('"');
+    fields_.push_back({key, std::move(json), value});
     return *this;
   }
   JsonObject& set(const std::string& key, const char* value) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "rrb/common/runner_config.hpp"
+
 namespace rrb {
 
 namespace {
@@ -49,20 +51,24 @@ void require_row_entries(const NodeId* row, std::size_t len, NodeId n) {
   }
 }
 
+/// Adjacency entries per scan task: a CSR of at most this many entries is
+/// scanned in one inline pass, a larger one in node ranges of about this
+/// many entries each.
+constexpr std::size_t kScanTaskEntries = std::size_t{1} << 20;
+
 /// The per-node half of CsrValidation::kBasic fused with the multigraph
-/// summary, one pass per row. Per node: offsets non-decreasing (and inside
-/// the adjacency array), degree within NodeId range, entries in range and
-/// sorted. Counts: num_edges = entries/2; in a sorted row a run of k equal
-/// entries w contributes k-1 parallel extras when w > v (its repeats), and
-/// the k entries equal to v make k/2 self-loops (k/2 - 1 extras). Shared
-/// by from_edges and from_csr so both construction paths agree
-/// byte-for-byte on the derived counts.
-[[nodiscard]] CsrCounts scan_csr(const std::vector<Count>& offsets,
-                                 const std::vector<NodeId>& adjacency) {
+/// summary, one pass per row, over nodes [begin, end). Per node: offsets
+/// non-decreasing (and inside the adjacency array), degree within NodeId
+/// range, entries in range and sorted. Counts: in a sorted row a run of k
+/// equal entries w contributes k-1 parallel extras when w > v (its
+/// repeats), and the k entries equal to v make k/2 self-loops (k/2 - 1
+/// extras).
+[[nodiscard]] CsrCounts scan_rows(const std::vector<Count>& offsets,
+                                  const std::vector<NodeId>& adjacency,
+                                  NodeId begin, NodeId end) {
   CsrCounts counts;
-  counts.edges = adjacency.size() / 2;
   const auto n = static_cast<NodeId>(offsets.size() - 1);
-  for (NodeId v = 0; v < n; ++v) {
+  for (NodeId v = begin; v < end; ++v) {
     RRB_REQUIRE(offsets[v] <= offsets[v + 1] &&
                     offsets[v + 1] <= adjacency.size(),
                 "from_csr: offsets must be non-decreasing");
@@ -78,6 +84,41 @@ void require_row_entries(const NodeId* row, std::size_t len, NodeId n) {
     counts.parallel_extra +=
         scan.repeats + loops - (scan.loop_stubs >= 2 ? 1 : 0);
   }
+  return counts;
+}
+
+/// scan_rows over every node, plus num_edges = entries/2. Shared by
+/// from_edges and from_csr so both construction paths agree byte-for-byte
+/// on the derived counts. Past kScanTaskEntries the node range splits into
+/// equal parts scanned on the shared pool and summed in range order. Each
+/// part reports its first bad row, and parallel_for rethrows the lowest
+/// throwing part, so the error still names the first bad row of all.
+[[nodiscard]] CsrCounts scan_csr(const std::vector<Count>& offsets,
+                                 const std::vector<NodeId>& adjacency) {
+  const auto n = static_cast<NodeId>(offsets.size() - 1);
+  const std::size_t tasks = std::min<std::size_t>(
+      std::max<std::size_t>(n, 1),
+      (adjacency.size() + kScanTaskEntries - 1) / kScanTaskEntries);
+  CsrCounts counts;
+  if (tasks <= 1) {
+    counts = scan_rows(offsets, adjacency, 0, n);
+  } else {
+    const auto bound = [&](std::size_t t) {
+      return static_cast<NodeId>(static_cast<std::uint64_t>(n) * t / tasks);
+    };
+    std::vector<CsrCounts> parts(tasks);
+    parallel_for(static_cast<int>(tasks), resolve_threads(RunnerConfig{}),
+                 [&](int t) {
+                   const auto part = static_cast<std::size_t>(t);
+                   parts[part] = scan_rows(offsets, adjacency, bound(part),
+                                           bound(part + 1));
+                 });
+    for (const CsrCounts& part : parts) {
+      counts.self_loops += part.self_loops;
+      counts.parallel_extra += part.parallel_extra;
+    }
+  }
+  counts.edges = adjacency.size() / 2;
   return counts;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -112,6 +113,67 @@ TEST(BigtopoPermutation, RejectsOutOfDomainAndTrivialDomains) {
   const StubPermutation perm(7, 100);
   EXPECT_THROW((void)perm.forward(100), std::logic_error);
   EXPECT_THROW((void)perm.inverse(100), std::logic_error);
+}
+
+// The Feistel round function, written out: splitmix64's finalising mix of
+// x + key_r, masked to a half, with key_r from the documented schedule.
+std::uint64_t round_definition(std::uint64_t seed, int r, int half_bits,
+                               std::uint64_t x) {
+  const std::uint64_t base =
+      derive_seed(seed, hash_string("bigtopo/stub-permutation"));
+  std::uint64_t z = x + derive_seed(base, static_cast<std::uint64_t>(r));
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  return z & ((std::uint64_t{1} << half_bits) - 1);
+}
+
+TEST(BigtopoPermutation, RoundTablesMatchTheRoundFunction) {
+  constexpr std::uint64_t kSeed = 0x7ab1e;
+  for (int half_bits = 1; half_bits <= StubPermutation::kTableHalfBits;
+       ++half_bits) {
+    // The smallest and the largest domain with this half width.
+    for (const std::uint64_t domain :
+         {(std::uint64_t{1} << (2 * half_bits - 2)) + 1,
+          std::uint64_t{1} << (2 * half_bits)}) {
+      if (domain < 2) continue;
+      const StubPermutation perm(kSeed, domain);
+      for (int r = 0; r < StubPermutation::kRounds; ++r) {
+        const auto table = perm.round_table(r);
+        ASSERT_EQ(table.size(), std::size_t{1} << half_bits)
+            << "domain " << domain;
+        std::size_t wrong = 0;
+        for (std::uint64_t x = 0; x < table.size(); ++x)
+          wrong += table[x] != round_definition(kSeed, r, half_bits, x);
+        EXPECT_EQ(wrong, 0U) << "domain " << domain << ", round " << r;
+      }
+    }
+  }
+  // Past 2^32 stubs a half is 17 bits or wider: no table.
+  EXPECT_TRUE(StubPermutation(kSeed, (std::uint64_t{1} << 32) + 1)
+                  .round_table(0)
+                  .empty());
+}
+
+// The fill's tiles look rounds up in the tables up to 2^32 stubs and
+// compute mix64 past it; either way a tile is inverse() per position.
+TEST(BigtopoPermutation, TilesMatchInverseAroundTheTableLimit) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 32;
+  for (const std::uint64_t domain : {kLimit - 2, kLimit, kLimit + 2}) {
+    const StubPermutation perm(0x711e, domain);
+    EXPECT_EQ(perm.round_table(0).empty(), domain > kLimit);
+    std::array<std::uint64_t, StubPermutation::kTile> out{};
+    for (const std::uint64_t first :
+         {std::uint64_t{0}, std::uint64_t{12345678}, kLimit / 2,
+          domain - StubPermutation::kTile, domain - 10}) {
+      const auto count = static_cast<std::size_t>(std::min<std::uint64_t>(
+          StubPermutation::kTile, domain - first));
+      perm.inverse_tile(first, count, out.data());
+      for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(out[i], perm.inverse(first + i))
+            << "domain " << domain << ", position " << first + i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

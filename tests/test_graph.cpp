@@ -386,6 +386,84 @@ TEST(GraphFromCsr, EachBasicRejectionNamesItsError) {
                    "from_csr: adjacency lists must be sorted per node");
 }
 
+// A CSR past 2^20 entries is scanned in node ranges on the worker pool.
+// These CSRs hold 2^21 entries or more, so they take at least two tasks.
+
+/// n nodes with `loops` self-loops each: a valid kBasic CSR of n·2·loops
+/// entries.
+std::pair<std::vector<Count>, std::vector<NodeId>> loop_csr(NodeId n,
+                                                            NodeId loops) {
+  std::vector<Count> offsets(static_cast<std::size_t>(n) + 1);
+  std::vector<NodeId> adjacency;
+  adjacency.reserve(static_cast<std::size_t>(n) * 2 * loops);
+  for (NodeId v = 0; v < n; ++v) {
+    adjacency.insert(adjacency.end(), 2 * loops, v);
+    offsets[v + 1] = adjacency.size();
+  }
+  return {std::move(offsets), std::move(adjacency)};
+}
+
+TEST(GraphFromCsrParallel, FirstBadRowNamesTheErrorAcrossTasks) {
+  constexpr NodeId kNodes = NodeId{1} << 16;
+  constexpr NodeId kWidth = 32;  // 2^21 entries: two tasks of 2^15 nodes
+  const auto [offsets, adjacency] = loop_csr(kNodes, kWidth / 2);
+  ASSERT_NO_THROW((void)Graph::from_csr(offsets, adjacency));
+  const std::size_t early = std::size_t{100} * kWidth;    // task 0
+  const std::size_t late = std::size_t{40000} * kWidth;   // task 1
+
+  const auto unsorted = [](std::vector<NodeId>& adj, std::size_t row) {
+    adj[row] = adj[row + 1] + 1;
+  };
+  const auto out_of_range = [](std::vector<NodeId>& adj, std::size_t row) {
+    adj[row + kWidth - 1] = kNodes;
+  };
+
+  std::vector<NodeId> adj = adjacency;
+  unsorted(adj, early);
+  out_of_range(adj, late);
+  expect_csr_error(offsets, adj,
+                   "from_csr: adjacency lists must be sorted per node");
+
+  adj = adjacency;
+  out_of_range(adj, early);
+  unsorted(adj, late);
+  expect_csr_error(offsets, adj, "from_csr: adjacency entry out of range");
+
+  // Bad offsets in the later task lose to a bad row in the earlier one,
+  // and name their own error alone.
+  std::vector<Count> offs = offsets;
+  offs[40001] = offs[40000] - 2;
+  adj = adjacency;
+  unsorted(adj, early);
+  expect_csr_error(offs, adj,
+                   "from_csr: adjacency lists must be sorted per node");
+  expect_csr_error(offs, adjacency, "from_csr: offsets must be non-decreasing");
+}
+
+TEST(GraphFromCsrParallel, CountsEqualTheSinglePassCounts) {
+  // Copies of one small multigraph, side by side: the big CSR's counts are
+  // the copies' sum. 37 nodes per copy put task bounds inside copies.
+  Rng rng(0xc5a);
+  const Graph block = configuration_model(37, 4, rng);
+  ASSERT_GT(block.num_self_loops(), 0U);
+  ASSERT_GT(block.num_parallel_extra(), 0U);
+  constexpr NodeId kCopies = 20000;  // 2.96e6 entries: three tasks
+  std::vector<Count> offsets{0};
+  std::vector<NodeId> adjacency;
+  for (NodeId c = 0; c < kCopies; ++c)
+    for (NodeId v = 0; v < block.num_nodes(); ++v) {
+      for (const NodeId w : block.neighbors(v))
+        adjacency.push_back(c * block.num_nodes() + w);
+      offsets.push_back(adjacency.size());
+    }
+  ASSERT_GT(adjacency.size(), std::size_t{2} << 20);
+
+  const Graph g = Graph::from_csr(std::move(offsets), std::move(adjacency));
+  EXPECT_EQ(g.num_edges(), kCopies * block.num_edges());
+  EXPECT_EQ(g.num_self_loops(), kCopies * block.num_self_loops());
+  EXPECT_EQ(g.num_parallel_extra(), kCopies * block.num_parallel_extra());
+}
+
 // The generators' and bigtopo's short-row sort must give std::sort's bytes
 // at every length, on both sides of its insertion-sort cutoff, with heavy
 // duplicates and with sorted and reversed input.
