@@ -266,7 +266,9 @@ void StubPermutation::inverse_tile(std::uint64_t first, std::size_t count,
   const auto whole_groups = [](std::size_t lanes) {
     return (lanes + kLanes - 1) / kLanes * kLanes;
   };
-  for (std::size_t i = 0; i < kTile; ++i) out[i] = first + i;
+  // Lanes past count pad their group with position 0: a padded lane must
+  // stay inside the Feistel domain, or its round-table index would not.
+  for (std::size_t i = 0; i < kTile; ++i) out[i] = i < count ? first + i : 0;
   decrypt_lanes(out, whole_groups(count));
 
   // Lanes still outside [0, domain): their values and their tile slots,

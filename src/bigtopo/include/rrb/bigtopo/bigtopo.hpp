@@ -155,7 +155,8 @@ class StubPermutation {
   [[nodiscard]] std::uint64_t round_function(int r, std::uint64_t x) const;
   [[nodiscard]] std::uint64_t encrypt_once(std::uint64_t x) const;
   [[nodiscard]] std::uint64_t decrypt_once(std::uint64_t y) const;
-  /// decrypt_once on x[0, count) in place, count a multiple of kLanes.
+  /// decrypt_once on x[0, count) in place, count a multiple of kLanes and
+  /// every x below 2^(2·half_bits_) (the round tables' index range).
   void decrypt_lanes(std::uint64_t* x, std::size_t count) const;
 
   std::uint64_t domain_ = 0;

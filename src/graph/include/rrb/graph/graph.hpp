@@ -57,7 +57,9 @@ class Graph {
   /// (parallel edges once per multiplicity; a self-loop twice at its node).
   /// This is the compact path used by rrb::bigtopo — peak memory is the
   /// CSR itself. Validation per CsrValidation; edge/loop/parallel counts
-  /// come from kBasic's one pass over the sorted lists.
+  /// come from kBasic's one pass over the sorted lists. Past 2^20
+  /// adjacency entries that pass runs over node ranges on the shared
+  /// worker pool (rrb::parallel_for); counts and errors are the same.
   [[nodiscard]] static Graph from_csr(
       std::vector<Count> offsets, std::vector<NodeId> adjacency,
       CsrValidation validation = CsrValidation::kBasic);

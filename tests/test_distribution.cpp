@@ -136,28 +136,28 @@ TEST(Distribution, KsStatisticStepsTiesTogether) {
 }
 
 TEST(Distribution, Push) {
-  const Graph g = regular_graph(1024, 4);
+  const Graph g = regular_graph(512, 4);
   expect_same_distribution(
       engine_samples(g, PushProtocol{}, ChannelConfig{}),
       reference_samples(g, {.scheme = reference::Scheme::kPush}));
 }
 
 TEST(Distribution, Pull) {
-  const Graph g = regular_graph(1024, 4);
+  const Graph g = regular_graph(512, 4);
   expect_same_distribution(
       engine_samples(g, PullProtocol{}, ChannelConfig{}),
       reference_samples(g, {.scheme = reference::Scheme::kPull}));
 }
 
 TEST(Distribution, PushPull) {
-  const Graph g = regular_graph(1024, 4);
+  const Graph g = regular_graph(512, 4);
   expect_same_distribution(
       engine_samples(g, PushPullProtocol{}, ChannelConfig{}),
       reference_samples(g, {.scheme = reference::Scheme::kPushPull}));
 }
 
 TEST(Distribution, PushWithChannelFailures) {
-  const Graph g = regular_graph(1024, 4);
+  const Graph g = regular_graph(512, 4);
   expect_same_distribution(
       engine_samples(g, PushProtocol{}, ChannelConfig{.failure_prob = 0.05}),
       reference_samples(g, {.scheme = reference::Scheme::kPush,
@@ -177,7 +177,7 @@ TEST(Distribution, FourChoiceAlgorithm1) {
 }
 
 TEST(Distribution, Sequentialised) {
-  const NodeId n = 256;
+  const NodeId n = 128;
   const Graph g = regular_graph(n, 6);
   expect_same_distribution(
       engine_samples(g, SequentialisedFourChoice(four_choice_config(n)),
