@@ -40,7 +40,6 @@ struct Model {
 };
 
 struct Outcome {
-  std::uint64_t rounds = 0;         ///< steps simulated
   Round completion = kNever;        ///< first step after which all know
   std::uint64_t transmissions = 0;  ///< copies sent, pushes and pulls
   std::uint64_t informed = 0;       ///< nodes that know at the end

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 namespace rrb::reference {
@@ -158,7 +159,6 @@ Outcome simulate(const Graph& g, NodeId source, const Model& model, Rng& rng) {
         ++knowing;
       }
 
-    out.rounds = static_cast<std::uint64_t>(t);
     if (knowing == n && out.completion == kNever)
       out.completion = static_cast<Round>(t);
     if (to_completion ? knowing == n : t >= last_step) break;
