@@ -42,9 +42,12 @@
 /// min(batches, resolve_threads(RunnerConfig{})) workers — the
 /// `RunnerConfig::threads = 0` resolution: $RRB_THREADS when set, else one
 /// per CPU in the affinity mask. `chunks = 1` is one batch and runs inline on the
-/// calling thread. The configuration model's fill and both generators'
-/// per-node row sorts run batched this way; chunked_random_out's count and
-/// fill passes share the offset cursors and stay sequential.
+/// calling thread. `chunks` groups only the configuration model's fill and
+/// both generators' per-node row sorts; chunked_random_out's count and fill
+/// passes share the offset cursors and stay sequential. Both generators
+/// end in Graph::from_csr, whose check-and-count scan runs on the same pool
+/// in node ranges of about 2^20 entries once the CSR holds more than 2^20
+/// entries, whatever `chunks` is.
 ///
 /// Two generators are provided:
 ///  - chunked_configuration_model: the paper's §1.2 pairing model, exact
@@ -126,7 +129,9 @@ class StubPermutation {
   /// The preimage of y (y < domain()): inverse(forward(x)) == x.
   [[nodiscard]] std::uint64_t inverse(std::uint64_t y) const;
 
-  /// Feistel rounds, and the widest half a round table is built for.
+  /// Feistel rounds, and the widest half a round table is built for. The
+  /// fill with tables never lost to the mix64 loop at any half width up
+  /// to 16 that was timed (bench/results/README.md, "Round tables").
   static constexpr int kRounds = 8;
   static constexpr int kTableHalfBits = 16;
 
@@ -175,10 +180,12 @@ struct ChunkedParams {
   NodeId d = 0;  ///< configuration-model degree / out-links per node
   std::uint64_t seed = 0;
 
-  /// Execution batches the canonical chunks are grouped into; 0 = one batch
-  /// per canonical chunk, 1 = one batch run inline on the calling thread.
-  /// Batches run concurrently on min(batches, automatic thread count)
-  /// workers. Scheduling only — never semantics.
+  /// Execution batches the canonical chunks are grouped into for the fill
+  /// and the row sort; 0 = one batch per canonical chunk, 1 = one batch run
+  /// inline on the calling thread. Batches run concurrently on
+  /// min(batches, automatic thread count) workers. The final
+  /// Graph::from_csr scan ignores it: past 2^20 CSR entries it runs on the
+  /// pool at the automatic thread count. Scheduling only — never semantics.
   int chunks = 0;
 
   /// Refuse (RRB_REQUIRE) to generate when the estimated peak exceeds this
