@@ -419,33 +419,41 @@ void run_all() {
     // (see bench_trials_row). Trial counts keep
     // every sweep near a second on one core. The schemes without batched
     // rows get the sequential row only, so every scheme's sequential path
-    // has one.
+    // has one. The schemes that run on past completion (four-choice,
+    // sequentialised, fixed-horizon push: the post-completion
+    // fast-forward's) also get trials/<scheme>/t4/{seq,B4,B32} rows at
+    // four threads.
     struct Sweep {
       BroadcastScheme scheme;
       int trials;
       bool batched;
+      bool threaded;
     };
     const Sweep sweeps[] = {
-        {BroadcastScheme::kPush, 64, true},
-        {BroadcastScheme::kPushPull, 64, true},
-        {BroadcastScheme::kFourChoice, 32, true},
-        {BroadcastScheme::kMedianCounter, 16, true},
-        {BroadcastScheme::kSequentialised, 8, true},
-        {BroadcastScheme::kPull, 64, false},
-        {BroadcastScheme::kFixedHorizonPush, 64, false},
-        {BroadcastScheme::kThrottledPushPull, 32, false},
+        {BroadcastScheme::kPush, 64, true, false},
+        {BroadcastScheme::kPushPull, 64, true, false},
+        {BroadcastScheme::kFourChoice, 32, true, true},
+        {BroadcastScheme::kMedianCounter, 16, true, false},
+        {BroadcastScheme::kSequentialised, 8, true, true},
+        {BroadcastScheme::kPull, 64, false, false},
+        {BroadcastScheme::kFixedHorizonPush, 64, true, true},
+        {BroadcastScheme::kThrottledPushPull, 32, false, false},
     };
-    for (const auto& [scheme, trials, batched] : sweeps) {
+    for (const auto& [scheme, trials, batched, threaded] : sweeps) {
       BroadcastOptions opt;
       opt.scheme = scheme;
       opt.seed = 0xbea7;
       opt.trials = trials;
       opt.runner.threads = 1;
       (void)broadcast_trials(g, opt);  // warmup
-      for (const int batch : {0, 4, 32}) {
-        if (batch != 0 && !batched) break;
-        opt.runner.batch = batch;
-        bench_trials_row(json, g, opt, "");
+      for (const int threads : {1, 4}) {
+        if (threads != 1 && !threaded) break;
+        opt.runner.threads = threads;
+        for (const int batch : {0, 4, 32}) {
+          if (batch != 0 && !batched) break;
+          opt.runner.batch = batch;
+          bench_trials_row(json, g, opt, threads == 1 ? "" : "/t4");
+        }
       }
     }
 

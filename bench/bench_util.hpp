@@ -35,7 +35,11 @@
 #include "rrb/sim/trial.hpp"
 #include "rrb/telemetry/telemetry.hpp"
 
-// Git revision baked in by bench/CMakeLists.txt (git describe --always).
+// Git revision stamped at build time by bench/CMakeLists.txt (git describe
+// --always --dirty --tags, regenerated on every build).
+#if __has_include("rrb_git_describe.h")
+#include "rrb_git_describe.h"
+#endif
 #ifndef RRB_GIT_DESCRIBE
 #define RRB_GIT_DESCRIBE "unknown"
 #endif

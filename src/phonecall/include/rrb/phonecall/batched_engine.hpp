@@ -36,7 +36,10 @@
 /// interleaving the lanes is invisible: every RunResult and every observer
 /// is bit-identical to a PhoneCallEngine run of the same trial (ROADMAP.md
 /// draw-order invariant; pinned for all eight schemes by
-/// tests/test_batched_engine.cpp).
+/// tests/test_batched_engine.cpp). Both engines stop drawing at the same
+/// round: a classic lane whose round starts with every node informed skips
+/// the sweep and is charged its channels from its action alone, as
+/// PhoneCallEngine's post-completion fast-forward does (engine.hpp).
 ///
 /// Kernel ladder, chosen per lane group by batched_kernel_for() below:
 ///  1. classic — state-oblivious protocols (kActionIgnoresState: push,
@@ -70,21 +73,6 @@
 namespace rrb {
 
 namespace detail {
-
-/// True when the protocol type implements none of the optional per-round /
-/// per-delivery hooks (on_round_start, stamp, on_receive). Such protocols
-/// interact with the engine only through action() and finished(), which is
-/// what lets the lockstep kernel keep per-lane state as bitmaps instead of
-/// firing per-event callbacks. Mirrors the `requires` checks in
-/// PhoneCallEngine::run — a hook the sequential engine would not call is
-/// also one the kernel may skip.
-template <typename P>
-inline constexpr bool kLaneHookFreeProtocol =
-    !requires(P& p, Round t) { p.on_round_start(t); } &&
-    !requires(P& p, NodeId v, Round t) { p.stamp(v, t); } &&
-    !requires(P& p, NodeId v, const MessageMeta& m, Round t) {
-      p.on_receive(v, m, t, true);
-    };
 
 /// True when the protocol *declares* (via a `static constexpr bool
 /// kActionIgnoresState = true;` member) that action(v, state, t) depends
@@ -143,7 +131,7 @@ template <ProtocolImpl ProtocolT, typename ObserverT, Topology TopologyT>
   constexpr auto sequential = [](const char* reason) {
     return BatchedKernelChoice{BatchedKernel::kSequential, reason};
   };
-  if constexpr (!detail::kLaneHookFreeProtocol<ProtocolT>) {
+  if constexpr (!detail::kHookFreeProtocol<ProtocolT>) {
     return sequential("protocol hooks");
   } else if constexpr (!detail::kLaneHookFreeObserver<ObserverT>) {
     return sequential("observer hooks");
@@ -319,7 +307,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run(
     kernel_span.set_args(args + "}");
   }
 
-  if constexpr (detail::kLaneHookFreeProtocol<ProtocolT> &&
+  if constexpr (detail::kHookFreeProtocol<ProtocolT> &&
                 detail::kLaneHookFreeObserver<ObserverT> &&
                 detail::kStateObliviousAction<ProtocolT>) {
     if (choice.kernel == BatchedKernel::kClassic)
@@ -426,12 +414,15 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_classic(
     if (detail::topo_degree(*topo_, v) != 0) ++channels_per_round;
 
   Action actions[64];  // this round's action per lane; lanes <= 64 here
+  std::size_t sweep_lanes[64];  // [0, sweeping): this round's drawing lanes
+  std::int64_t fast_forward_rounds = 0;  // lane-rounds that skipped the sweep
 
   Round t = 0;
   while (!active_.empty() && t < limits.max_rounds) {
     ++t;
     start_round(t);
 
+    std::size_t sweeping = 0;
     for (const std::size_t b : active_) {
       // One action() call fixes the whole round (declared contract); every
       // informed node transmits iff it is not kNone.
@@ -439,7 +430,18 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_classic(
       state.informed_at = 0;
       state.is_source = true;
       const Action a = protocols[b]->action(NodeId{0}, state, t);
+      if (informed_alive_[b] == n) {
+        // Fully informed at round start: every node's one channel carries
+        // its push and its callee's pull, and nothing needs a draw.
+        RoundStats& round = round_stats_[b];
+        if (a != Action::kNone) round.transmitting_nodes = n;
+        if (does_push(a)) round.push_tx = channels_per_round;
+        if (does_pull(a)) round.pull_tx = channels_per_round;
+        ++fast_forward_rounds;
+        continue;
+      }
       actions[b] = a;
+      sweep_lanes[sweeping++] = b;
       if (a == Action::kNone) continue;  // e.g. fixed-horizon past its horizon
       round_stats_[b].transmitting_nodes = informed_alive_[b];
       // Transmissions read the round-start informed set: a node informed
@@ -454,7 +456,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_classic(
     // are set unions whose order within a round does not matter.
     for (NodeId lo = 0, hi = 0; lo < n; lo = hi) {
       hi = n - lo > kClassicBlock ? lo + kClassicBlock : n;
-      for (const std::size_t b : active_) {
+      for (const std::size_t b : std::span(sweep_lanes, sweeping)) {
         std::uint64_t* const bits = live_bits_.data() + b * W;
         const std::uint64_t* const snap = start_bits_.data() + b * W;
         RoundStats& round = round_stats_[b];
@@ -481,6 +483,7 @@ std::vector<RunResult> BatchedPhoneCallEngine<TopologyT>::run_classic(
     end_round(protocols, t, channels_per_round, limits, results);
   }
   finish_lanes(results, t);
+  telemetry::count("engine.fast_forward_rounds", fast_forward_rounds);
   return results;
 }
 

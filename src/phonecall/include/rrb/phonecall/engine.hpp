@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <concepts>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <type_traits>
@@ -50,7 +52,9 @@
 /// Determinism: the order of RNG draws inside run() is part of the
 /// library's output contract (ROADMAP.md "seeding contract";
 /// tests/test_golden_results.cpp pins it). Any engine change must preserve
-/// the draw order exactly or every recorded experiment changes.
+/// the draw order exactly or every recorded experiment changes. The
+/// contract covers the draws up to the round in which every node is
+/// informed; a run eligible for the fast-forward below makes none after it.
 ///
 /// Silent channels cost only their draws. A channel carries a message only
 /// if its caller pushes or its callee pulls, so in a round where no node
@@ -65,6 +69,22 @@
 /// compile-time, the other two are checked once per run. Draws and every
 /// RunResult field are unchanged (pinned by tests/test_engine.cpp,
 /// SilentChannelSkip).
+///
+/// Rounds after completion cost no draws. Once a round starts with every
+/// node informed, nobody can be newly informed, so a round's counts follow
+/// from the nodes' actions alone: each pushing node v transmits on all of
+/// its min(k, d_v) channels, and every channel carries a pull when every
+/// callable node pulls (none when no node pulls). An eligible run — static
+/// GraphTopology, a protocol without on_round_start/stamp/on_receive, an
+/// observer without on_transmission/on_node_informed, no failure_prob, no
+/// failure model and no round hook — computes the remaining rounds with
+/// phase A alone and emits them (on_round_begin/on_round_end, per_round)
+/// without drawing. If some remaining round has only some nodes pulling,
+/// its pull count would depend on the draws, so the look-ahead is dropped
+/// and the round loop runs on as before. RunResults, informed_at and
+/// observer streams are unchanged; the Rng and the sampler's memory rings
+/// and cursors stop where completion left them (tests/test_engine.cpp,
+/// FastForward; the skipped rounds count as engine.fast_forward_rounds).
 
 namespace rrb {
 
@@ -120,6 +140,29 @@ namespace detail {
 struct NoMetrics {
   [[nodiscard]] const char* name() const { return "none"; }
 };
+
+/// True when the protocol type implements none of the optional per-round /
+/// per-delivery hooks (on_round_start, stamp, on_receive). Such protocols
+/// interact with the engines only through action() and finished(), which
+/// is what lets the batched engine's lockstep kernel keep per-lane state as
+/// bitmaps, and what lets both engines count a fully informed round
+/// without delivering it. Mirrors the `requires` checks in run() — a hook
+/// the round loop would not call is also one a fast path may skip.
+template <typename P>
+inline constexpr bool kHookFreeProtocol =
+    !requires(P& p, Round t) { p.on_round_start(t); } &&
+    !requires(P& p, NodeId v, Round t) { p.stamp(v, t); } &&
+    !requires(P& p, NodeId v, const MessageMeta& m, Round t) {
+      p.on_receive(v, m, t, true);
+    };
+
+/// True when the observer sees no single delivery (no on_transmission or
+/// on_node_informed hook): its stream is then fixed by the per-round
+/// counts, which the post-completion fast-forward reproduces.
+template <typename O>
+inline constexpr bool kDeliveryBlindObserver =
+    !requires(O& o, const TransmissionEvent& e) { o.on_transmission(e); } &&
+    !requires(O& o, NodeId v, Round t) { o.on_node_informed(v, t); };
 
 }  // namespace detail
 
@@ -216,6 +259,25 @@ class PhoneCallEngine {
     return detail::topo_neighbor(*topo_, v, i);
   }
 
+  /// A stretch of `count` consecutive fast-forwarded rounds with equal
+  /// counts, the first of them `first`. A schedule's rounds repeat phase by
+  /// phase, so a stretch per phase keeps the look-ahead small however far
+  /// off max_rounds is.
+  struct TailStretch {
+    RoundStats first;
+    Round count = 0;
+  };
+
+  /// The post-completion look-ahead (see the file comment), called at most
+  /// once per run, after round t when every node is informed: fills tail_
+  /// with rounds t + 1 .. the protocol's finish or limits.max_rounds, from
+  /// phase A alone, and returns the last of them. Returns 0 if some round
+  /// has a mixed pull, whose pull count the draws would decide; tail_ is
+  /// then stale and nothing else has changed (action_ is rewritten by the
+  /// next phase A).
+  template <ProtocolImpl ProtocolT>
+  Round look_ahead(ProtocolT& protocol, Round t, const RunLimits& limits);
+
   TopologyT* topo_;
   ChannelConfig config_;
   Rng* rng_;
@@ -237,6 +299,7 @@ class PhoneCallEngine {
   std::vector<NodeId> choice_buf_;
   std::vector<NodeId> partner_buf_;
   std::vector<NodeId> newly_;
+  std::vector<TailStretch> tail_;  // look_ahead's rounds
 };
 
 template <Topology TopologyT>
@@ -296,9 +359,58 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
   constexpr bool kStaticGraph =
       std::is_same_v<std::remove_const_t<TopologyT>, GraphTopology>;
   const bool may_skip = kStaticGraph && !has_failure_model && !has_memory;
+  // The post-completion fast-forward (see the file comment): cleared once
+  // its one look-ahead has run, whether or not that look-ahead was used.
+  bool may_fast_forward = kStaticGraph &&
+                          detail::kHookFreeProtocol<ProtocolT> &&
+                          detail::kDeliveryBlindObserver<ObserverT> &&
+                          !has_failure_prob && !has_failure_model && !has_hook;
+
+  // Folds a finished round into the result and the observers, and stamps
+  // the completion round: every round, drawn or fast-forwarded, ends here.
+  const auto close_round = [&](const RoundStats& round) {
+    result.push_tx += round.push_tx;
+    result.pull_tx += round.pull_tx;
+    result.channels_opened += round.channels_opened;
+    result.channels_failed += round.channels_failed;
+    if (limits.record_rounds) result.per_round.push_back(round);
+
+    if constexpr (requires(std::span<const Round> ia) {
+                    observers.on_round_end(round, ia);
+                  })
+      observers.on_round_end(
+          round, std::span<const Round>(informed_at_.data(), n));
+
+    // Completion: every alive node informed. informed_alive_ is maintained
+    // incrementally — churn hooks report departures via notify_node_died()
+    // and slot reuse via reset_node(), so no O(n) rescan is needed here.
+    // alive > 0 guards the vacuous case: a churn burst that kills every
+    // node must not count as completion (the set may repopulate via joins
+    // and the run would then carry a bogus completion_round).
+    const Count alive = topo_->num_alive();
+    if (result.completion_round == kNever && alive > 0 &&
+        informed_alive_ >= alive)
+      result.completion_round = round.t;
+  };
 
   Round t = 0;
   while (t < limits.max_rounds) {
+    if (may_fast_forward && informed_alive_ == n) {
+      may_fast_forward = false;
+      if (const Round last = look_ahead(protocol, t, limits); last != 0) {
+        for (const TailStretch& stretch : tail_) {
+          RoundStats round = stretch.first;
+          for (Round i = 0; i < stretch.count; ++i, ++round.t) {
+            if constexpr (requires { observers.on_round_begin(round.t); })
+              observers.on_round_begin(round.t);
+            close_round(round);
+          }
+        }
+        telemetry::count("engine.fast_forward_rounds", last - t);
+        t = last;
+        break;
+      }
+    }
     ++t;
     if constexpr (requires { protocol.on_round_start(t); })
       protocol.on_round_start(t);
@@ -409,31 +521,10 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
     informed += newly_.size();
     round.newly_informed = newly_.size();
     round.informed = informed;
-
-    result.push_tx += round.push_tx;
-    result.pull_tx += round.pull_tx;
-    result.channels_opened += round.channels_opened;
-    result.channels_failed += round.channels_failed;
-    if (limits.record_rounds) result.per_round.push_back(round);
-
-    if constexpr (requires(std::span<const Round> ia) {
-                    observers.on_round_end(round, ia);
-                  })
-      observers.on_round_end(
-          round, std::span<const Round>(informed_at_.data(), n));
+    close_round(round);
 
     const Count alive = topo_->num_alive();
-    // Completion: every alive node informed. informed_alive_ is maintained
-    // incrementally — churn hooks report departures via notify_node_died()
-    // and slot reuse via reset_node(), so no O(n) rescan is needed here.
-    // alive > 0 guards the vacuous case: a churn burst that kills every
-    // node must not count as completion (the set may repopulate via joins
-    // and the run would then carry a bogus completion_round).
     const Count informed_alive = informed_alive_;
-    if (result.completion_round == kNever && alive > 0 &&
-        informed_alive >= alive)
-      result.completion_round = t;
-
     const bool proto_done = protocol.finished(t, informed_alive, alive);
     const bool oracle_done =
         limits.stop_when_all_informed && informed_alive >= alive;
@@ -466,6 +557,59 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
     observers.on_run_end(result,
                          std::span<const Round>(informed_at_.data(), n));
   return result;
+}
+
+template <Topology TopologyT>
+template <ProtocolImpl ProtocolT>
+Round PhoneCallEngine<TopologyT>::look_ahead(ProtocolT& protocol, Round t,
+                                             const RunLimits& limits) {
+  const NodeId n = topo_->num_slots();
+  const auto k = static_cast<NodeId>(config_.num_choices);
+  // The channels every round opens, C = sum_v min(k, d_v), and how many
+  // nodes can be called (d > 0) — the pullers a round needs for all of its
+  // C channels to carry a pull.
+  Count channels = 0;
+  NodeId callable = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId d = detail::topo_degree(*topo_, v);
+    channels += std::min(k, d);
+    callable += d != 0;
+  }
+
+  tail_.clear();
+  bool done = false;
+  while (!done && t < limits.max_rounds) {
+    ++t;
+    RoundStats round{};
+    round.t = t;
+    round.informed = n;
+    round.channels_opened = channels;
+    NodeId pullers = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      NodeLocalState state;
+      state.informed_at = informed_at_[v];
+      state.is_source = informed_at_[v] == 0;
+      const Action a = protocol.action(v, state, t);
+      if (a == Action::kNone) continue;
+      ++round.transmitting_nodes;
+      const NodeId d = detail::topo_degree(*topo_, v);
+      if (does_push(a)) round.push_tx += std::min(k, d);
+      if (does_pull(a) && d != 0) ++pullers;
+    }
+    if (pullers == callable)
+      round.pull_tx = channels;
+    else if (pullers != 0)
+      return 0;  // mixed pull: which channels carry one is drawn
+    TailStretch* const last = tail_.empty() ? nullptr : &tail_.back();
+    if (last != nullptr && last->first.push_tx == round.push_tx &&
+        last->first.pull_tx == round.pull_tx &&
+        last->first.transmitting_nodes == round.transmitting_nodes)
+      ++last->count;
+    else
+      tail_.push_back({round, 1});
+    done = protocol.finished(t, n, n) || limits.stop_when_all_informed;
+  }
+  return t;
 }
 
 }  // namespace rrb

@@ -4,11 +4,20 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "rrb/graph/generators.hpp"
 
 namespace rrb {
 namespace {
+
+/// `prefix` followed by the decimal i ("k3"). Built with append: GCC 12's
+/// -Wrestrict misfires on "k" + std::to_string(i) at -O3.
+std::string numbered(const char* prefix, int i) {
+  std::string s(prefix);
+  s.append(std::to_string(i));
+  return s;
+}
 
 Graph small_overlay(NodeId n, NodeId d, std::uint64_t seed) {
   Rng rng(seed);
@@ -115,7 +124,7 @@ TEST(ReplicatedDb, CombiningReducesChannelMessages) {
   const Graph g = small_overlay(256, 8, 8);
   ReplicatedDb db(g, ReplicatedDbConfig{});
   for (int i = 0; i < 16; ++i)
-    db.put(static_cast<NodeId>(i * 7), "k" + std::to_string(i), "v");
+    db.put(static_cast<NodeId>(i * 7), numbered("k", i), "v");
   EXPECT_TRUE(db.run_to_convergence(500));
   EXPECT_GT(db.entry_transmissions(), db.channel_messages());
 }
@@ -130,7 +139,7 @@ TEST(ReplicatedDb, EntryTransmissionsScaleGentlyPerUpdate) {
   ReplicatedDb db(g, ReplicatedDbConfig{});
   constexpr int kUpdates = 8;
   for (int i = 0; i < kUpdates; ++i)
-    db.put(static_cast<NodeId>(i * 11), "key" + std::to_string(i), "v");
+    db.put(static_cast<NodeId>(i * 11), numbered("key", i), "v");
   ASSERT_TRUE(db.run_to_convergence(500));
   const double per_update_per_node =
       static_cast<double>(db.entry_transmissions()) / kUpdates / n;
@@ -143,7 +152,7 @@ TEST(ReplicatedDb, StaggeredInjectionsConverge) {
   const Graph g = small_overlay(256, 8, 10);
   ReplicatedDb db(g, ReplicatedDbConfig{});
   for (int i = 0; i < 10; ++i) {
-    db.put(static_cast<NodeId>(i * 20), "s" + std::to_string(i), "v");
+    db.put(static_cast<NodeId>(i * 20), numbered("s", i), "v");
     db.step();
     db.step();
   }

@@ -11,6 +11,14 @@
 namespace rrb {
 namespace {
 
+/// `prefix` followed by the decimal i ("k3"). Built with append: GCC 12's
+/// -Wrestrict misfires on "k" + std::to_string(i) at -O3.
+std::string numbered(const char* prefix, int i) {
+  std::string s(prefix);
+  s.append(std::to_string(i));
+  return s;
+}
+
 struct DbGridParam {
   int n;
   int d;
@@ -31,13 +39,13 @@ TEST_P(DbGrid, AllUpdatesConvergeAndAgree) {
 
   for (int i = 0; i < param.batch; ++i)
     db.put(static_cast<NodeId>((i * 131) % param.n),
-           "key" + std::to_string(i), "value" + std::to_string(i));
+           numbered("key", i), numbered("value", i));
 
   ASSERT_TRUE(db.run_to_convergence(800));
 
   // Agreement: every replica returns the same value for every key.
   for (int i = 0; i < param.batch; ++i) {
-    const std::string key = "key" + std::to_string(i);
+    const std::string key = numbered("key", i);
     const std::string* expected = db.get(0, key);
     ASSERT_NE(expected, nullptr);
     for (NodeId v = 1; v < g.num_nodes(); ++v) {
@@ -56,7 +64,7 @@ TEST_P(DbGrid, CostInvariants) {
   ReplicatedDb db(g, ReplicatedDbConfig{});
   for (int i = 0; i < param.batch; ++i)
     db.put(static_cast<NodeId>((i * 37) % param.n),
-           "k" + std::to_string(i), "v");
+           numbered("k", i), "v");
   ASSERT_TRUE(db.run_to_convergence(800));
 
   // Each update reaches n replicas, so entry transmissions are at least
@@ -89,13 +97,13 @@ TEST_P(DbInterleavingGrid, RepeatedOverwritesEndAtLastValue) {
   ReplicatedDb db(g, ReplicatedDbConfig{});
   for (int i = 0; i < rewrites; ++i) {
     db.put(static_cast<NodeId>((i * 97) % 256), "hot",
-           "v" + std::to_string(i));
+           numbered("v", i));
     db.step();
     db.step();
     db.step();
   }
   ASSERT_TRUE(db.run_to_convergence(800));
-  const std::string expected = "v" + std::to_string(rewrites - 1);
+  const std::string expected = numbered("v", rewrites - 1);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const std::string* got = db.get(v, "hot");
     ASSERT_NE(got, nullptr);
