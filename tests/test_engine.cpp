@@ -635,7 +635,6 @@ TEST(SilentChannelSkip, ObserverStackSeesThePlainPathStreams) {
   }
 }
 
-
 // ---- The post-completion fast-forward --------------------------------------
 //
 // Once a round starts with every node informed, an eligible run emits the
