@@ -15,9 +15,11 @@
 ///  - whole broadcast_trials sweeps per scheme at batch 0 / 4 / 32: one
 ///    row for both rungs of the batched engine's kernel ladder (classic,
 ///    sequential fallback) against the plain sequential driver, and a
-///    sequential row for every other scheme; plus push with channel
-///    failures (failure_prob 0.05) at batch 0 / 32, a channel the classic
-///    kernel refuses;
+///    sequential row for every other scheme; batch 1 for the four
+///    classic-kernel schemes (the one-lane kernel every per-trial-graph
+///    trial runs) and a push sweep over a graph rebuilt per trial; plus
+///    push with channel failures (failure_prob 0.05) at batch 0 / 32, a
+///    channel the classic kernel refuses;
 ///  - push and push-pull sweeps at E18's density point (bigtopo's chunked
 ///    configuration model at n = 2^19, d = 19), sequential and B = 4: the
 ///    classic kernel on a CSR far larger than L2;
@@ -38,6 +40,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -233,11 +236,13 @@ void bench_sampler(bench::BenchReport& json) {
   }
 }
 
-/// One trials/* row: kReps timed broadcast_trials sweeps of `opt` on `g`,
+/// One trials/* row: kReps timed broadcast_trials sweeps of `opt` on `g`
+/// (a fixed Graph, or a GraphFactory rebuilding the graph per trial),
 /// reported as the median trials/s with min and max, so a reader can tell
-/// a gain from scheduler noise. The name is trials/<scheme><graph>/<batch>
-/// (seq for batch 0).
-void bench_trials_row(bench::BenchReport& json, const Graph& g,
+/// a gain from scheduler noise. The name is trials/<scheme><graph>, plus
+/// /<batch> (seq for batch 0) on a fixed graph: a factory ignores batch.
+template <typename GraphSource>
+void bench_trials_row(bench::BenchReport& json, const GraphSource& g,
                       const BroadcastOptions& opt, const std::string& graph) {
   constexpr int kReps = 5;
   std::vector<double> rates;
@@ -254,9 +259,9 @@ void bench_trials_row(bench::BenchReport& json, const Graph& g,
   std::sort(rates.begin(), rates.end());
   const double median = rates[rates.size() / 2];
   const int batch = opt.runner.batch;
-  const std::string name =
-      std::string("trials/") + scheme_name(opt.scheme) + graph +
-      (batch == 0 ? "/seq" : "/B" + std::to_string(batch));
+  std::string name = std::string("trials/") + scheme_name(opt.scheme) + graph;
+  if constexpr (std::is_same_v<GraphSource, Graph>)
+    name += batch == 0 ? "/seq" : "/B" + std::to_string(batch);
   std::printf("%-28s %5d reps   %9.2f ms  %12.1f trials/s  [%.1f, %.1f]\n",
               name.c_str(), kReps, total_ms, median, rates.front(),
               rates.back());
@@ -419,27 +424,29 @@ void run_all() {
     // (see bench_trials_row). Trial counts keep
     // every sweep near a second on one core. The schemes without batched
     // rows get the sequential row only, so every scheme's sequential path
-    // has one. The schemes that run on past completion (four-choice,
-    // sequentialised, fixed-horizon push: the post-completion
-    // fast-forward's) also get trials/<scheme>/t4/{seq,B4,B32} rows at
-    // four threads.
+    // has one. The four classic-kernel schemes also get a B1 row: the
+    // kernel with one lane, as every per-trial-graph trial runs it. The
+    // schemes that run on past completion (four-choice, sequentialised,
+    // fixed-horizon push: the post-completion fast-forward's) also get
+    // trials/<scheme>/t4/{seq,B4,B32} rows at four threads.
     struct Sweep {
       BroadcastScheme scheme;
       int trials;
       bool batched;
+      bool classic;
       bool threaded;
     };
     const Sweep sweeps[] = {
-        {BroadcastScheme::kPush, 64, true, false},
-        {BroadcastScheme::kPushPull, 64, true, false},
-        {BroadcastScheme::kFourChoice, 32, true, true},
-        {BroadcastScheme::kMedianCounter, 16, true, false},
-        {BroadcastScheme::kSequentialised, 8, true, true},
-        {BroadcastScheme::kPull, 64, false, false},
-        {BroadcastScheme::kFixedHorizonPush, 64, true, true},
-        {BroadcastScheme::kThrottledPushPull, 32, false, false},
+        {BroadcastScheme::kPush, 64, true, true, false},
+        {BroadcastScheme::kPushPull, 64, true, true, false},
+        {BroadcastScheme::kFourChoice, 32, true, false, true},
+        {BroadcastScheme::kMedianCounter, 16, true, false, false},
+        {BroadcastScheme::kSequentialised, 8, true, false, true},
+        {BroadcastScheme::kPull, 64, false, true, false},
+        {BroadcastScheme::kFixedHorizonPush, 64, true, true, true},
+        {BroadcastScheme::kThrottledPushPull, 32, false, false, false},
     };
-    for (const auto& [scheme, trials, batched, threaded] : sweeps) {
+    for (const auto& [scheme, trials, batched, classic, threaded] : sweeps) {
       BroadcastOptions opt;
       opt.scheme = scheme;
       opt.seed = 0xbea7;
@@ -449,13 +456,26 @@ void run_all() {
       for (const int threads : {1, 4}) {
         if (threads != 1 && !threaded) break;
         opt.runner.threads = threads;
-        for (const int batch : {0, 4, 32}) {
-          if (batch != 0 && !batched) break;
+        for (const int batch : {0, 1, 4, 32}) {
+          if (batch == 1 && !(classic && threads == 1)) continue;
+          if (batch > 1 && !batched) break;
           opt.runner.batch = batch;
           bench_trials_row(json, g, opt, threads == 1 ? "" : "/t4");
         }
       }
     }
+
+    // trials/push/per-trial-graph: push over a G(n, 8) rebuilt per trial,
+    // as campaign static cells run it; each trial is a one-lane batched
+    // group, so the row moves with the classic kernel's one-lane speed.
+    BroadcastOptions rebuilt;
+    rebuilt.scheme = BroadcastScheme::kPush;
+    rebuilt.seed = 0xbea7;
+    rebuilt.trials = 64;
+    rebuilt.runner.threads = 1;
+    const GraphFactory per_trial = bench::regular_graph(n, 8);
+    (void)broadcast_trials(per_trial, rebuilt);  // warmup
+    bench_trials_row(json, per_trial, rebuilt, "/per-trial-graph");
 
     // trials/push/failure/{seq,B32}: i.i.d. channel failures send push's
     // batched lanes to the sequential fallback ("failure_prob > 0").

@@ -35,7 +35,9 @@ struct RunnerConfig {
   /// keeps its own Rng(seed).fork(i) stream and draw order, so any batch
   /// value produces bit-identical output (pinned by
   /// tests/test_batched_engine.cpp). Paths that rebuild the topology per
-  /// trial (GraphFactory sweeps, campaign cells, traces) ignore it.
+  /// trial (GraphFactory sweeps, campaign cells, traces) ignore it: each
+  /// of their trials is a one-lane BatchedPhoneCallEngine group, as at
+  /// batch 1.
   int batch = 0;
 };
 

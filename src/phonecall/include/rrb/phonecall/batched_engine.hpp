@@ -28,6 +28,13 @@
 /// are fetched once and stay cache-hot across all B lanes — and each
 /// lane's round state is a transposed informed bitmap.
 ///
+/// Reached through the trial sweep (detail::sweep_group in
+/// rrb/sim/trial.hpp): a per-trial graph runs each trial as a one-lane
+/// group, where the classic kernel still beats PhoneCallEngine on the
+/// classical schemes, and a fixed graph runs groups of RunnerConfig::batch
+/// lanes when batch >= 1. A fixed graph at batch 0 stays on
+/// PhoneCallEngine, the sequential reference the bit-identity tests use.
+///
 /// Determinism: batching is scheduling, never semantics. Lane i runs on its
 /// own Rng — the caller derives it as Rng(seed).fork(i) per the seeding
 /// contract — and the kernel makes exactly the draws the sequential engine

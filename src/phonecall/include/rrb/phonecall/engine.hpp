@@ -298,7 +298,6 @@ class PhoneCallEngine {
   // Flat per-run scratch buffers, reused across rounds and runs.
   std::vector<NodeId> choice_buf_;
   std::vector<NodeId> partner_buf_;
-  std::vector<NodeId> newly_;
   std::vector<TailStretch> tail_;  // look_ahead's rounds
 };
 
@@ -438,7 +437,7 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
     // Phase B: every alive node opens channels; transmissions happen on
     // the channel according to the caller's push action and the callee's
     // pull action.
-    newly_.clear();
+    Count newly = 0;
     for (NodeId v = 0; v < n; ++v) {
       if (!topo_->is_alive(v)) continue;
       const std::size_t k = sampler_.choose(*topo_, *rng_, v, edge_choice);
@@ -492,7 +491,7 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
           if (first) {
             informed_at_[to] = t;
             ++informed_alive_;
-            newly_.push_back(to);
+            ++newly;
           }
           if constexpr (requires(const TransmissionEvent& event) {
                           observers.on_transmission(event);
@@ -518,8 +517,8 @@ RunResult PhoneCallEngine<TopologyT>::run(ProtocolT& protocol,
             v, std::span<const NodeId>(partners.data(), k));
     }
 
-    informed += newly_.size();
-    round.newly_informed = newly_.size();
+    informed += newly;
+    round.newly_informed = newly;
     round.informed = informed;
     close_round(round);
 

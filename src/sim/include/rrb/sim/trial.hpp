@@ -166,12 +166,16 @@ struct MakeNoMetrics {
 /// first + b writes runs[b] and observers[b] and nothing else, so groups
 /// may run concurrently. Trial i seeds Rng(plan.seed).fork(i) and draws, in
 /// order: its graph (per-trial sources only), its source (unless
-/// plan.source fixes one), then the engine's round draws. A fixed graph
-/// with plan.runner.batch >= 1 advances the group's lanes in lockstep on
-/// BatchedPhoneCallEngine with the same per-lane streams, so runs and
-/// observers come out bit-identical to one-lane groups (pinned by
-/// tests/test_batched_engine.cpp). Every sweep body runs here: sweep below,
-/// and the campaign scheduler's (cell, trial) queue.
+/// plan.source fixes one), then the engine's round draws. A per-trial
+/// graph's one-lane group, and a fixed graph's group at plan.runner.batch
+/// >= 1, run on BatchedPhoneCallEngine with the same per-lane streams:
+/// batched_kernel_for() sends classical schemes to the classic kernel and
+/// every other group lane by lane to PhoneCallEngine, so runs and
+/// observers come out bit-identical to PhoneCallEngine runs (pinned by
+/// tests/test_batched_engine.cpp). A fixed graph at batch 0 stays on
+/// PhoneCallEngine: it is the sequential reference those tests compare the
+/// kernels with. Every sweep body runs here: sweep below, and the campaign
+/// scheduler's (cell, trial) queue.
 template <typename GraphSource, typename ProtocolSource,
           typename MakeObserver,
           MetricObserver Obs =
@@ -209,16 +213,14 @@ void sweep_group(const GraphSource& graphs, const ProtocolSource& protocols,
     with_protocols(protocols, graph, lanes,
                    [&](auto protos, const ChannelConfig& channel) {
       GraphTopology topo(graph);
-      if constexpr (kFixedGraph) {
-        if (plan.runner.batch >= 1) {
-          BatchedPhoneCallEngine<GraphTopology> engine(topo, channel);
-          std::vector<RunResult> results = engine.run(
-              protos, std::span<const NodeId>(sources),
-              std::span<Rng>(rngs), plan.limits, std::span<Obs>(observers));
-          for (std::size_t b = 0; b < lanes; ++b)
-            runs[b] = std::move(results[b]);
-          return;
-        }
+      if (!kFixedGraph || plan.runner.batch >= 1) {
+        BatchedPhoneCallEngine<GraphTopology> engine(topo, channel);
+        std::vector<RunResult> results = engine.run(
+            protos, std::span<const NodeId>(sources), std::span<Rng>(rngs),
+            plan.limits, std::span<Obs>(observers));
+        for (std::size_t b = 0; b < lanes; ++b)
+          runs[b] = std::move(results[b]);
+        return;
       }
       PhoneCallEngine<GraphTopology> engine(topo, channel, rngs[0]);
       runs[0] = engine.run(*protos[0], sources[0], plan.limits, observers[0]);
@@ -230,8 +232,9 @@ void sweep_group(const GraphSource& graphs, const ProtocolSource& protocols,
 
 /// The one trial sweep every driver runs: plan.trials trials in groups of
 /// plan.runner.batch lanes (fixed graph only; a per-trial graph source
-/// ignores batch, since lockstep lanes need one shared topology), each
-/// group a sweep_group on the worker pool, reduced in trial order.
+/// ignores batch and runs one-lane groups, since lockstep lanes need one
+/// shared topology), each group a sweep_group on the worker pool, reduced
+/// in trial order.
 template <typename GraphSource, typename ProtocolSource,
           typename MakeObserver = MakeNoMetrics,
           MetricObserver Obs =
@@ -296,7 +299,9 @@ template <typename GraphSource, typename ProtocolSource,
 /// broadcast_trials on a graph rebuilt per trial: the scheme is dispatched
 /// statically on each trial's own graph, so degree-keyed schemes (throttled,
 /// four-choice Alg 1 vs 2, fixed horizon) follow that graph's min or mean
-/// degree. Ignores options.runner.batch, like the factory run_trials.
+/// degree. Ignores options.runner.batch, like the factory run_trials: each
+/// trial is a one-lane BatchedPhoneCallEngine group, so the classical
+/// schemes run on its classic kernel.
 [[nodiscard]] TrialOutcome broadcast_trials(const GraphFactory& graph_factory,
                                             const BroadcastOptions& options,
                                             NodeId source = kNoNode);

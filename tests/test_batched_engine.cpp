@@ -6,7 +6,9 @@
 /// drivers must reproduce the sequential outputs (and observer streams) to
 /// the bit. The sequential outputs themselves are frozen by
 /// tests/test_golden_results.cpp, so equality here chains the batched path
-/// to the recorded goldens.
+/// to the recorded goldens. Per-trial graph sweeps, which always run
+/// one-lane groups on the batched engine, are chained to a hand-written
+/// PhoneCallEngine loop instead.
 
 #include "rrb/phonecall/batched_engine.hpp"
 
@@ -16,6 +18,7 @@
 #include <initializer_list>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rrb/core/broadcast.hpp"
@@ -296,6 +299,56 @@ TEST(BatchedRunTrials, TrialStreamsStayKeyedOnSeedAndIndex) {
   const NodeId source = static_cast<NodeId>(rng.uniform_u64(g.num_nodes()));
   const RunResult by_hand = engine.run(*protocol, source, RunLimits{});
   expect_run_eq(batched.runs[3], by_hand);
+}
+
+// ---- Per-trial graph sources -----------------------------------------------
+
+TEST(BatchedBitIdentity, PerTrialGraphSweepsMatchAHandWrittenEngineLoop) {
+  // A GraphFactory sweep runs every trial as a one-lane BatchedPhoneCallEngine
+  // group: the classical schemes on the classic kernel, the rest lane by
+  // lane on PhoneCallEngine. Either way trial i must equal PhoneCallEngine
+  // driven by hand on Rng(seed).fork(i): graph, source, then the rounds.
+  // gnp adds isolated nodes and per-trial degrees; max_rounds stops push
+  // and pull runs that cannot reach them.
+  const NodeId n = 256;
+  const std::pair<const char*, GraphFactory> factories[] = {
+      {"regular", [n](Rng& rng) { return random_regular_simple(n, 8, rng); }},
+      {"gnp", [n](Rng& rng) { return gnp(n, 6.0 / (n - 1), rng); }},
+  };
+  for (const auto& [family, factory] : factories) {
+    for (const BroadcastScheme scheme : kAllSchemes) {
+      BroadcastOptions opt;
+      opt.scheme = scheme;
+      opt.seed = 0xba7c40b;
+      opt.trials = 9;
+      opt.max_rounds = 200;
+      opt.record_rounds = true;
+
+      std::vector<RunResult> by_hand;
+      for (int i = 0; i < opt.trials; ++i) {
+        Rng rng = Rng(opt.seed).fork(static_cast<std::uint64_t>(i));
+        const Graph g = factory(rng);
+        const auto source = static_cast<NodeId>(rng.uniform_u64(n));
+        by_hand.push_back(with_scheme(
+            g, opt, [&](auto proto, const ChannelConfig& channel) {
+              GraphTopology topo(g);
+              PhoneCallEngine<GraphTopology> engine(topo, channel, rng);
+              RunLimits limits;
+              limits.max_rounds = opt.max_rounds;
+              limits.record_rounds = true;
+              return engine.run(proto, source, limits);
+            }));
+      }
+      const TrialOutcome expected = detail::reduce_runs(std::move(by_hand));
+
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(family) + " " + scheme_name(scheme) +
+                     " threads=" + std::to_string(threads));
+        opt.runner.threads = threads;
+        expect_outcome_eq(broadcast_trials(factory, opt), expected);
+      }
+    }
+  }
 }
 
 // ---- Driving the engine directly -------------------------------------------

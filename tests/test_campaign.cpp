@@ -826,6 +826,44 @@ TEST(CampaignMetrics, ColumnsAppendWithoutChangingBaseValuesOrKeys) {
   }
 }
 
+TEST(CampaignMetrics, ClassicalCellsKeepTheirBytesAcrossKernels) {
+  // A classical scheme's static cell runs on the batched classic kernel
+  // without metrics, but on PhoneCallEngine with them (the metric stack
+  // has observer hooks). Both paths must write the same base bytes; gnp
+  // adds isolated nodes and trials that stop at max_rounds.
+  for (const GraphFamily family : {GraphFamily::kRegular, GraphFamily::kGnp}) {
+    CampaignSpec plain;
+    plain.seed = 0xc1a55;
+    plain.trials = 4;
+    plain.max_rounds = 200;
+    plain.graph = family;
+    plain.schemes = {BroadcastScheme::kPush, BroadcastScheme::kPull,
+                     BroadcastScheme::kPushPull,
+                     BroadcastScheme::kFixedHorizonPush};
+    plain.n_values = {256};
+    plain.d_values = {8};
+    CampaignSpec with_metrics = plain;
+    with_metrics.metrics = {MetricKind::kTxHistogram,
+                            MetricKind::kInformedLatency};
+
+    const auto plain_cells = expand_cells(plain);
+    const auto metric_cells = expand_cells(with_metrics);
+    ASSERT_EQ(plain_cells.size(), metric_cells.size());
+    for (std::size_t i = 0; i < plain_cells.size(); ++i) {
+      SCOPED_TRACE(plain_cells[i].key);
+      const JsonObject base =
+          CampaignRunner::run_cell(plain, plain_cells[i], {});
+      const JsonObject extended =
+          CampaignRunner::run_cell(with_metrics, metric_cells[i], {});
+      ASSERT_GT(extended.fields().size(), base.fields().size());
+      for (std::size_t f = 0; f < base.fields().size(); ++f) {
+        EXPECT_EQ(extended.fields()[f].key, base.fields()[f].key);
+        EXPECT_EQ(extended.fields()[f].json, base.fields()[f].json);
+      }
+    }
+  }
+}
+
 TEST(CampaignMetrics, MetricColumnsAreDeterministicAcrossRunnerConfigs) {
   CampaignSpec spec = tiny_spec();
   spec.metrics = {MetricKind::kTxHistogram, MetricKind::kInformedLatency};

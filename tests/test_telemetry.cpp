@@ -347,6 +347,51 @@ TEST(TelemetryBitIdentity, BatchedFallbackSpanNamesItsReason) {
     EXPECT_EQ(traced.rounds.mean, plain.rounds.mean);
     EXPECT_EQ(traced.total_tx.mean, plain.total_tx.mean);
   }
+
+  // A campaign's static cells run each trial as a one-lane batched group,
+  // so a trace names the kernel every cell ran: the classic kernel under
+  // push's (cell, trial) spans, the fallback with its reason under
+  // four-choice's.
+  exp::CampaignSpec spec = all_schemes_spec();
+  spec.trials = 2;
+  spec.schemes = {BroadcastScheme::kPush, BroadcastScheme::kFourChoice};
+  const auto cells = exp::expand_cells(spec);
+  ASSERT_EQ(cells.size(), 2U);
+  exp::CampaignConfig config;
+  config.runner.threads = 2;
+  config.out_dir = temp_path("kernels");
+  telemetry::enable();
+  (void)exp::CampaignRunner(spec, config).run();
+  telemetry::enable(false);
+  const std::vector<telemetry::Event> events = telemetry::drain();
+
+  // The batched spans nested in cell `key`'s spans: same thread, and inside
+  // the cell span's interval.
+  const auto kernels_under = [&events](const std::string& key) {
+    std::vector<const telemetry::Event*> nested;
+    for (const telemetry::Event& cell : events) {
+      if (cell.phase != 'X' || cell.name != key) continue;
+      for (const telemetry::Event& event : events)
+        if (event.phase == 'X' && event.category == "batched" &&
+            event.pid == cell.pid && event.tid == cell.tid &&
+            event.ts_us >= cell.ts_us &&
+            event.ts_us + event.dur_us <= cell.ts_us + cell.dur_us)
+          nested.push_back(&event);
+    }
+    return nested;
+  };
+  const auto push_kernels = kernels_under(cells[0].key);
+  ASSERT_EQ(push_kernels.size(), 2U) << cells[0].key;
+  for (const telemetry::Event* kernel : push_kernels)
+    EXPECT_EQ(kernel->name, "batched:classic");
+  const auto four_choice_kernels = kernels_under(cells[1].key);
+  ASSERT_EQ(four_choice_kernels.size(), 2U) << cells[1].key;
+  for (const telemetry::Event* kernel : four_choice_kernels) {
+    EXPECT_EQ(kernel->name, "batched:sequential");
+    EXPECT_NE(kernel->args_json.find("\"reason\":\"state-dependent action\""),
+              std::string::npos)
+        << kernel->args_json;
+  }
 }
 
 std::string read_file(const std::string& path) {
