@@ -14,7 +14,7 @@
 /// Rules (age/median-counter scheme, simplified to its standard practical
 /// form):
 ///  - an uninformed node that first receives the message enters state B
-///    with counter ctr = 1;
+///    with counter ctr = 1, and so does a source on its first action;
 ///  - in state B a node push&pulls every round; at the start of each round
 ///    it compares its counter with the counters received in the previous
 ///    round: if the median of received counters is >= its own, it
@@ -47,6 +47,9 @@ class MedianCounterProtocol {
                               Round t) {
     // Hard deadline: stop max_age rounds after first receipt.
     if (t - state.informed_at > max_age_) return Action::kNone;
+    // An informed node with counter 0 never received the message: it is a
+    // source, which starts in state B with ctr = 1 like any first receipt.
+    if (ctr_[v] == 0) ctr_[v] = 1;
     if (c_entered_[v] != kNever) {
       // State C for final_rounds rounds, then quiet (state D).
       if (t - c_entered_[v] >= final_rounds_) return Action::kNone;
@@ -68,7 +71,7 @@ class MedianCounterProtocol {
       ctr_[v] = 1;
       return;
     }
-    if (ctr_[v] == 0) return;  // duplicate delivery within the joining round
+    if (ctr_[v] == 0) return;  // a source before its first action
     const std::size_t cnt = sample_count_[v];
     if (cnt < kMaxSamples) {
       if (cnt == 0) touched_.push_back(v);

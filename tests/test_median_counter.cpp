@@ -154,6 +154,25 @@ TEST(MedianCounter, DeadlineBoundsRunLength) {
   EXPECT_LT(r.rounds, 64 * 8 + proto.max_age() + proto.final_rounds() + 4);
 }
 
+TEST(MedianCounter, SourceLeavesStateBSoRunsEndBeforeTheDeadline) {
+  // The source never receives the message, yet it must start counting like
+  // every other node: were it stuck in state B, it would push&pull until
+  // its own deadline and every run would last exactly max_age + 1 rounds.
+  Rng grng(0x3ed1d);
+  const Graph clique = complete(1024);
+  const Graph regular = random_regular_simple(1 << 12, 8, grng);
+  for (const Graph* g : {&clique, &regular}) {
+    const MedianCounterProtocol proto(config_for(g->num_nodes()));
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("n " + std::to_string(g->num_nodes()) + " seed " +
+                   std::to_string(seed));
+      const RunResult r = run_mc(*g, seed, config_for(g->num_nodes()));
+      EXPECT_TRUE(r.all_informed);
+      EXPECT_LE(r.rounds, proto.max_age());
+    }
+  }
+}
+
 TEST(MedianCounter, StampCarriesCounter) {
   MedianCounterProtocol proto(config_for(256));
   proto.reset(4);
@@ -212,9 +231,11 @@ TEST(MedianCounter, LowMediansDoNotAdvanceCounter) {
 
 /// The protocol as it stood when each node kept the first kMaxSamples
 /// counters it received in a round (an n x 32 matrix) and compared their
-/// nth_element median with its own counter. Frozen as the reference the
-/// two byte counters must reproduce bit for bit; `capped` counts the
-/// samples the cap dropped, so a case can show that the cap binds.
+/// nth_element median with its own counter, with the source rule of the
+/// current protocol (a source starts in state B on its first action).
+/// Frozen as the reference the two byte counters must reproduce bit for
+/// bit; `capped` counts the samples the cap dropped, so a case can show
+/// that the cap binds.
 class SampleMatrixMedianCounter {
  public:
   explicit SampleMatrixMedianCounter(const MedianCounterConfig& cfg) {
@@ -252,6 +273,7 @@ class SampleMatrixMedianCounter {
   [[nodiscard]] Action action(NodeId v, const NodeLocalState& state,
                               Round t) {
     if (t - state.informed_at > max_age_) return Action::kNone;
+    if (ctr_[v] == 0) ctr_[v] = 1;  // a source enters state B
     if (c_entered_[v] != kNever) {
       if (t - c_entered_[v] >= final_rounds_) return Action::kNone;
       ++active_this_round_;
